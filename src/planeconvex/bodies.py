@@ -4,7 +4,12 @@ Four representations: Polygon (possibly degenerate: a point or a segment),
 Disk, DiskIntersection (nonempty, edge-free), and HullOfUnion (lazy hull of a
 body with finitely many extra points).  Queries follow a dual strategy:
 exact rational predicates wherever the data allows, support-function
-comparison on a direction grid with local refinement for curved pairs.
+comparison for curved pairs.  Every support function is an upper envelope of
+pieces c·n + r (a disk, or a point with r = 0), so the extremum of a
+difference of two of them lies at a finite set of critical directions: the
+envelopes' breakpoints and one stationary direction per pair of pieces.
+``abundance`` takes its maximum there in closed form; ``support_margin``
+still searches a direction grid with local refinement.
 """
 
 from __future__ import annotations
@@ -438,6 +443,68 @@ def body_scale(u: ConvexBody) -> float:
     """Rough magnitude of u's coordinates, for relative slack decisions."""
     h = support_grid(u, GRID_DIRS[:: GRID_N // 8])
     return max(1.0, float(np.abs(h).max()))
+
+
+def tie_directions(c1: np.ndarray, r1: np.ndarray, c2: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Unit directions n with c1·n + r1 = c2·n + r2, for each row pair.
+
+    The ties of two support pieces are the normals of the common outer
+    tangents of their disks: two per pair, one where the disks touch
+    internally, none where one disk holds the other or the centres coincide.
+    Returns an (m, 2) array.
+    """
+    d = c1 - c2
+    length = np.hypot(d[:, 0], d[:, 1])
+    t = np.divide(r2 - r1, length, out=np.full_like(length, np.inf), where=length > 0)
+    ok = np.abs(t) <= 1.0 + 1e-12  # rounding may push a touching pair past 1
+    u = d[ok] / length[ok, None]
+    t = np.clip(t[ok], -1.0, 1.0)[:, None]
+    s = np.sqrt(1.0 - t * t)
+    perp = np.stack([-u[:, 1], u[:, 0]], axis=1)
+    return np.concatenate([t * u + s * perp, t * u - s * perp])
+
+
+def unit_directions(d: np.ndarray) -> np.ndarray:
+    """The nonzero rows of d, scaled to unit length."""
+    length = np.hypot(d[:, 0], d[:, 1])
+    keep = length > 0
+    return d[keep] / length[keep, None]
+
+
+def _support_pieces(u: ConvexBody) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u's support function as pieces (centres, radii) and breakpoints.
+
+    h_u(n) is the largest c·n + r among the pieces active at n, and the active
+    piece changes only at one of the returned breakpoint directions (a
+    superset: arc endpoints, edge normals, ties of extra points).
+    """
+    if isinstance(u, Polygon):
+        V = _cached_vertex_array(u)
+        zero = np.zeros(len(V))
+        return V, zero, tie_directions(V, zero, np.roll(V, -1, axis=0), zero)
+    if isinstance(u, Disk):
+        C = np.array([[float(u.center.x), float(u.center.y)]])
+        return C, np.array([float(u.radius)]), np.empty((0, 2))
+    if isinstance(u, DiskIntersection):
+        b = u.boundary()
+        arcs = [u.disks[i] for i, _ in b.arcs]
+        pts = b.corners if arcs else [u._feasible]
+        C = np.array(
+            [(float(d.center.x), float(d.center.y)) for d in arcs]
+            + [(float(p.x), float(p.y)) for p in pts]
+        )
+        R = np.array([float(d.radius) for d in arcs] + [0.0] * len(pts))
+        ends = np.array([a for _, ivs in b.arcs for iv in ivs for a in iv])
+        return C, R, np.stack([np.cos(ends), np.sin(ends)], axis=1)
+    if isinstance(u, HullOfUnion):
+        C, R, B = _support_pieces(u.base)
+        P = np.array([(float(p.x), float(p.y)) for p in u.extra]).reshape(-1, 2)
+        C = np.concatenate([C, P])
+        R = np.concatenate([R, np.zeros(len(P))])
+        i, j = np.divmod(np.arange(len(P) * len(C)), len(C))
+        ties = tie_directions(P[i], np.zeros(len(i)), C[j], R[j])
+        return C, R, np.concatenate([B, ties])
+    raise TypeError(f"unknown body {type(u)}")
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 48) -> float:
@@ -1084,19 +1151,13 @@ def abundance(u: ConvexBody, v: ConvexBody, tol: Tolerance = DEFAULT_TOL) -> flo
     vp = polygonize(v)
     if vp is not None:
         return max(dist_to_body(u, w, tol) for w in vp.vertices)
-    hu = support_grid(u)
-    hv = support_grid(v)
-    m = hv - hu
-    k = int(np.argmax(m))
-    lo = _GRID_ANGLES[k] - TWO_PI / GRID_N
-    hi = _GRID_ANGLES[k] + TWO_PI / GRID_N
-
-    def f(theta):
-        nx, ny = math.cos(theta), math.sin(theta)
-        return -(support_value(v, nx, ny) - support_value(u, nx, ny))
-
-    val = max(float(m[k]), -_golden_min(f, lo, hi))
-    return max(0.0, val)
+    # Between breakpoints h_v - h_u = (c_i - c_j)·n + r_i - r_j for one piece
+    # of each body, which peaks only at the ends or at n = (c_i - c_j)/|..|.
+    Cv, _, Bv = _support_pieces(v)
+    Cu, _, Bu = _support_pieces(u)
+    peaks = unit_directions((Cv[:, None, :] - Cu[None, :, :]).reshape(-1, 2))
+    dirs = np.concatenate([Bv, Bu, peaks, [(1.0, 0.0)]])
+    return max(0.0, float((support_grid(v, dirs) - support_grid(u, dirs)).max()))
 
 
 # ---------------------------------------------------------------------------

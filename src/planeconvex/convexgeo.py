@@ -2,13 +2,17 @@
 
 Closure operators over labeled points, disks, or triangle shapes; exhaustive
 axiom and anti-exchange verification on bitmask subsets; the (dualized)
-lattice of closed sets; join-distributivity and join-irreducibles.
+lattice of closed sets; join-distributivity and join-irreducibles.  Point and
+shape closures are exact on rational data; disk closures take each
+containment margin in closed form, at the critical directions of the hull's
+support function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -19,11 +23,8 @@ from .bodies import (
     Polygon,
     contains_point,
     convex_hull,
-    support_grid,
-    support_value,
-    GRID_DIRS,
-    GRID_N,
-    _GRID_ANGLES,
+    tie_directions,
+    unit_directions,
 )
 from .errors import IndeterminateGeometry, SizeLimit
 from .geom import EXACT_TOL, DEFAULT_TOL, Point, Tolerance
@@ -52,6 +53,21 @@ class GroundSet:
 
     def __len__(self):
         return len(self.elements)
+
+    @cached_property
+    def disk_support(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For a ground set of disks: each disk's support value (a row) at
+        every critical direction of every subset, whether disk a lies in disk
+        b (entry ``[a, b]``), and each disk's support radius |c| + r."""
+        C = np.array([(float(d.center.x), float(d.center.y)) for d in self.elements]).reshape(-1, 2)
+        R = np.array([float(d.radius) for d in self.elements])
+        i, j = np.divmod(np.arange(len(R) ** 2), len(R))  # ordered pairs
+        dirs = np.concatenate(
+            [tie_directions(C[i], R[i], C[j], R[j]), unit_directions(C[i] - C[j]), [(1.0, 0.0)]]
+        )
+        gap = (R[j] - R[i]).reshape(len(R), len(R))
+        dist = np.hypot(*(C[i] - C[j]).T).reshape(len(R), len(R))
+        return C @ dirs.T + R[:, None], (gap >= 0) & (dist <= gap), np.hypot(*C.T) + R
 
 
 class ClosureSystem:
@@ -102,75 +118,37 @@ def closure_points(ground: GroundSet, mask: int) -> int:
     return out
 
 
-def _disk_in_disk_hull(c: Disk, disks: Sequence[Disk], eps: float) -> Optional[bool]:
-    """Is disk c inside conv(union of disks)?  None when the margin is within
-    eps of zero (Indeterminate)."""
-    # exact shortcut: inside a single disk
-    for d in disks:
-        r_gap = float(d.radius) - float(c.radius)
-        if r_gap >= 0 and math.hypot(
-            float(d.center.x) - float(c.center.x), float(d.center.y) - float(c.center.y)
-        ) <= r_gap:
-            return True
-    hs = [support_grid(d) for d in disks]
-    h_hull = np.maximum.reduce(hs)
-    cc = np.array([float(c.center.x), float(c.center.y)])
-    h_c = GRID_DIRS @ cc + float(c.radius)
-    m = h_hull - h_c
-    k = int(np.argmin(m))
-    step = TWO_PI / GRID_N
-
-    def f(theta: float) -> float:
-        nx, ny = math.cos(theta), math.sin(theta)
-        hv = max(support_value(d, nx, ny) for d in disks)
-        return hv - (cc[0] * nx + cc[1] * ny + float(c.radius))
-
-    lo, hi = _GRID_ANGLES[k] - step, _GRID_ANGLES[k] + step
-    invphi = (math.sqrt(5.0) - 1) / 2
-    a, b = lo, hi
-    x1 = b - (b - a) * invphi
-    x2 = a + (b - a) * invphi
-    f1, f2 = f(x1), f(x2)
-    for _ in range(48):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - (b - a) * invphi
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + (b - a) * invphi
-            f2 = f(x2)
-    margin = min(float(m[k]), f1, f2)
-    scale = max(1.0, float(np.abs(h_hull).max()))
-    if abs(margin) <= eps * scale:
-        return None
-    return margin > 0
-
-
 def closure_circles(
     ground: GroundSet, mask: int, eps: float = 1e-9
 ) -> int:
     """Closure of a disk subset: ground disks inside the hull of its union.
+
+    A disk c lies in the hull iff min_n (max_i (c_i·n + r_i) - c·n - r_c) >= 0
+    over the subset's disks i.  The minimum is reached at a tie of two subset
+    disks or at a stationary direction -(c_i - c)/|c_i - c|; the ground set
+    holds every disk's support value at all such directions of all its pairs,
+    so every outside disk is classified at once.  A disk inside a single
+    subset disk is inside regardless of its margin.
 
     Raises IndeterminateGeometry when some containment margin is too close to
     zero to classify.
     """
     if mask == 0:
         return 0
-    disks = [ground.elements[i] for i in range(len(ground)) if mask >> i & 1]
-    out = 0
-    for i, c in enumerate(ground.elements):
-        if mask >> i & 1:
-            out |= 1 << i
-            continue
-        verdict = _disk_in_disk_hull(c, disks, eps)
-        if verdict is None:
-            raise IndeterminateGeometry(
-                f"containment margin of element {i} in subset {mask:b} is borderline"
-            )
-        if verdict:
-            out |= 1 << i
-    return out
+    H, inside, radius = ground.disk_support
+    chosen = (mask >> np.arange(len(ground))) & 1 == 1
+    rest = np.flatnonzero(~chosen)
+    held = inside[rest][:, chosen].any(axis=1)
+    margin = (H[chosen].max(axis=0) - H[rest]).min(axis=1)
+    scale = max(1.0, float(radius[chosen].max()))
+    borderline = ~held & (np.abs(margin) <= eps * scale)
+    if borderline.any():
+        raise IndeterminateGeometry(
+            f"containment margin of element {rest[borderline][0]} in subset {mask:b} is borderline"
+        )
+    for k in rest[held | (margin > 0)]:
+        mask |= 1 << int(k)
+    return mask
 
 
 def closure_shapes(ground: GroundSet, mask: int) -> int:

@@ -1,6 +1,9 @@
 """Shared generators for randomized tests (deterministic, seed-based)."""
 
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from planeconvex.bodies import Disk, DiskIntersection
 from planeconvex.errors import EmptyInput
@@ -28,3 +31,11 @@ def random_disk_intersection(rng: SplitMix64, max_disks: int = 4) -> DiskInterse
             return DiskIntersection(tuple(disks))
         except EmptyInput:
             continue
+
+
+def dense_directions(n: int = 1 << 14):
+    """n unit directions evenly spaced in angle (rows), and the angle step:
+    the brute-force reference for closed-form extrema over directions."""
+    step = 2 * math.pi / n
+    a = np.arange(n) * step
+    return np.stack([np.cos(a), np.sin(a)], axis=1), step

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from planeconvex.bodies import (
     open_extension,
     polygonize,
     separating_support_line,
+    support_grid,
     support_point,
     support_value,
     supporting_line,
@@ -48,7 +50,7 @@ from planeconvex.fixtures import SQRT3_50, equilateral_triangle
 from planeconvex.geom import DirectedLine, Direction, Point, Tolerance
 from planeconvex.rng import SplitMix64
 from planeconvex.transforms import Translation, homothety
-from tests.conftest import random_disk_intersection, rational_point
+from tests.conftest import dense_directions, random_disk_intersection, rational_point
 
 F = Fraction
 EXACT = Tolerance(0.0)
@@ -320,6 +322,39 @@ class TestAbundance:
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):
             abundance(Disk(Point(0, 0), 2), Disk(Point(0, 0), 1))
+
+    @staticmethod
+    def random_pair(rng):
+        """u, and a curved v holding it: a disk, a disk intersection, or
+        either with extra hull points."""
+        kind = rng.randint(0, 2)
+        if kind == 0:
+            u = convex_hull([rational_point(rng, -3, 3, 4) for _ in range(3)])
+        elif kind == 1:
+            u = Disk(rational_point(rng, -3, 3, 4), F(rng.randint(1, 8), 4))
+        else:
+            u = random_disk_intersection(rng)
+        disks = []
+        for _ in range(rng.randint(1, 3)):
+            c = rational_point(rng, -4, 4, 4)
+            disks.append(Disk(c, farthest_dist(u, c) + rng.randint(1, 8) / 8))
+        v = disks[0] if len(disks) == 1 else DiskIntersection(tuple(disks))
+        if rng.randint(0, 1):
+            v = HullOfUnion(v, tuple(rational_point(rng, -8, 8, 4) for _ in range(rng.randint(1, 2))))
+        return u, v
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_agrees_with_dense_directions(self, seed):
+        u, v = self.random_pair(SplitMix64(seed))
+        dirs, step = dense_directions()
+        hu, hv = support_grid(u, dirs), support_grid(v, dirs)
+        dense = max(0.0, float((hv - hu).max()))
+        # h_v - h_u changes with the angle no faster than the sum of the
+        # bodies' largest distances from the origin
+        bound = (np.abs(hu).max() + np.abs(hv).max()) * step
+        a = abundance(u, v)
+        assert dense - 1e-12 <= a <= dense + bound
 
 
 class TestLooselyIncludes:

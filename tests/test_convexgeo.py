@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,18 +17,19 @@ from planeconvex.convexgeo import (
     m3_lattice,
     points_closure_system,
     circles_closure_system,
+    closure_circles,
     shapes_closure_system,
     verify_anti_exchange,
     verify_closure_axioms,
 )
-from planeconvex.errors import SizeLimit
+from planeconvex.errors import IndeterminateGeometry, SizeLimit
 from planeconvex.fixtures import (
     ANTI_EXCHANGE_SHAPES,
     ANTI_EXCHANGE_WITNESS,
 )
 from planeconvex.geom import Point
 from planeconvex.rng import SplitMix64
-from tests.conftest import rational_point
+from tests.conftest import dense_directions, rational_point
 
 F = Fraction
 
@@ -68,6 +70,64 @@ class TestCircleClosure:
     def test_empty(self):
         cs = circles_closure_system([Disk(Point(F(0), F(0)), F(1))])
         assert cs.closure(0) == 0
+
+    def tangent_stadium(self):
+        # disk 2 touches both sides of the stadium of disks 0 and 1 (margin
+        # exactly 0); disk 3 touches disk 0 from inside
+        return circles_closure_system(
+            [
+                Disk(Point(F(0), F(0)), F(1)),
+                Disk(Point(F(4), F(0)), F(1)),
+                Disk(Point(F(2), F(0)), F(1)),
+                Disk(Point(F(1, 2), F(0)), F(1, 2)),
+            ]
+        )
+
+    def test_zero_margin_is_indeterminate(self):
+        with pytest.raises(IndeterminateGeometry, match="element 2 in subset 11 "):
+            self.tangent_stadium().closure(0b0011)
+
+    def test_inside_single_disk_wins_over_zero_margin(self):
+        assert self.tangent_stadium().closure(0b0001) == 0b1001
+
+
+DENSE_DIRS, DENSE_STEP = dense_directions()
+
+
+def dense_margin(c, subset):
+    """min over dense directions of h_hull - h_c, and the bound on how far
+    above the true minimum it can lie (the slope of h_hull - h_c times the
+    direction step)."""
+    C = np.array([(float(d.center.x), float(d.center.y)) for d in subset])
+    R = np.array([float(d.radius) for d in subset])
+    cc = np.array([float(c.center.x), float(c.center.y)])
+    h_hull = (C @ DENSE_DIRS.T + R[:, None]).max(axis=0)
+    m = float((h_hull - DENSE_DIRS @ cc - float(c.radius)).min())
+    return m, float(np.hypot(*(C - cc).T).max()) * DENSE_STEP
+
+
+class TestCircleClosureOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_agrees_with_dense_directions(self, seed):
+        rng = SplitMix64(seed)
+        disks = [
+            Disk(Point(F(rng.randint(-24, 24), 4), F(rng.randint(-24, 24), 4)), F(rng.randint(2, 16), 4))
+            for _ in range(rng.randint(2, 5))
+        ]
+        ground = GroundSet(tuple(disks))
+        for mask in range(1, 1 << len(disks)):
+            subset = [d for i, d in enumerate(disks) if mask >> i & 1]
+            dense = {i: dense_margin(d, subset) for i, d in enumerate(disks) if not mask >> i & 1}
+            try:
+                got = closure_circles(ground, mask)
+            except IndeterminateGeometry as e:
+                m, bound = dense[int(str(e).split()[4])]
+                assert -1e-6 <= m <= bound + 1e-6
+                continue
+            for i, (m, bound) in dense.items():
+                if abs(m) > bound:
+                    assert bool(got >> i & 1) == (m > 0), (mask, i, m)
 
 
 class TestClosureAxioms:

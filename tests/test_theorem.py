@@ -34,7 +34,8 @@ from planeconvex.fixtures import (
     rectangle_pair_maps,
 )
 from planeconvex.geom import Point, Tolerance, dist, orient2d
-from planeconvex.rng import SplitMix64
+from planeconvex.harness import _approx_bodies
+from planeconvex.rng import MASK, SplitMix64, _mix
 from planeconvex.theorem import (
     ShrinkFamily,
     Witness,
@@ -367,6 +368,15 @@ class TestEdgeFreeApprox:
             float(d.center.x), 2 - float(d.center.x), float(d.center.y), 2 - float(d.center.y)
         )
         assert abs(abundance(u, approx) - side_gap) < 1e-5
+
+    def test_abundance_does_not_rise_on_triangle_of_seed_607(self):
+        # The approximation study's triangle for trial seed 1 of seed 607: a
+        # 720-direction grid search missed the maximum at 100 disks and read
+        # 0.035633 there, below the 0.036388 it found at 150.
+        u = _approx_bodies((607 ^ _mix(2)) & MASK)[1][1]
+        a100 = abundance(u, edge_free_approx(u, 100))
+        a150 = abundance(u, edge_free_approx(u, 150))
+        assert a150 <= a100 + 1e-9
 
 
 class TestCaratheodory:
