@@ -10,6 +10,13 @@ difference of two of them lies at a finite set of critical directions: the
 envelopes' breakpoints and one stationary direction per pair of pieces.
 ``abundance`` takes its maximum there in closed form; ``support_margin``
 still searches a direction grid with local refinement.
+
+A DiskIntersection converts its disks to floats once, and its feasible point
+and boundary both read that conversion.  The feasible point is the first
+candidate of least violation max_i(|p - c_i| - r_i); ``_least_violation``
+finds it exactly without the full candidate x disk matrix, by taking the
+disks a block at a time and dropping every candidate whose partial max
+already exceeds the full violation of the best candidate so far.
 """
 
 from __future__ import annotations
@@ -116,15 +123,23 @@ class DiskIntersection(ConvexBody):
         if not self.disks:
             raise EmptyInput("disk intersection needs at least one disk")
         if self._feasible is None:
-            p = _disks_feasible_point(self.disks)
+            p = _disks_feasible_point(self.float_disks())
             if p is None:
                 raise EmptyInput("empty disk intersection")
             object.__setattr__(self, "_feasible", p)
 
+    def float_disks(self) -> "_DiskFloats":
+        """The disks' centres and radii as floats, converted once."""
+        cached = getattr(self, "_float_cache", None)
+        if cached is None:
+            cached = _disk_floats(self.disks)
+            object.__setattr__(self, "_float_cache", cached)
+        return cached
+
     def boundary(self) -> "_DIBoundary":
         cached = getattr(self, "_boundary_cache", None)
         if cached is None:
-            cached = _di_boundary(self.disks)
+            cached = _di_boundary(self.float_disks())
             object.__setattr__(self, "_boundary_cache", cached)
         return cached
 
@@ -217,35 +232,49 @@ def hull_of_union(u: ConvexBody, extra: Sequence[Point]) -> ConvexBody:
 # DiskIntersection internals
 
 
-def _disks_feasible_point(disks: Sequence[Disk], slack: float = 1e-9) -> Optional[Point]:
+class _DiskFloats(NamedTuple):
+    """A disk set's centres and radii as floats, converted from Fractions once."""
+
+    x: List[float]
+    y: List[float]
+    r: List[float]
+
+
+def _disk_floats(disks: Sequence[Disk]) -> _DiskFloats:
+    return _DiskFloats(
+        [float(d.center.x) for d in disks],
+        [float(d.center.y) for d in disks],
+        [float(d.radius) for d in disks],
+    )
+
+
+# Disks per step of the pruned least-violation search.
+_VIOLATION_BLOCK = 8
+
+
+def _disks_feasible_point(fd: _DiskFloats, slack: float = 1e-9) -> Optional[Point]:
     """A point in every disk, or None.
 
     Candidates: disk centers, then pairwise circle intersections (including
     tangency points); for disks this candidate set is complete whenever the
-    intersection is nonempty.
+    intersection is nonempty.  Of each candidate list the first one of least
+    violation max_i(|p - c_i| - r_i) is taken, found by the pruned exact
+    search of ``_least_violation``.
     """
-    C = np.array([(float(d.center.x), float(d.center.y)) for d in disks])
-    R = np.array([float(d.radius) for d in disks])
-    tol = slack * max(1.0, float(R.max()) + 1.0)
-
-    def best_of(cands: np.ndarray):
-        dists = np.hypot(
-            cands[:, None, 0] - C[None, :, 0], cands[:, None, 1] - C[None, :, 1]
-        )
-        viol = (dists - R[None, :]).max(axis=1)
-        k = int(np.argmin(viol))
-        return float(viol[k]), cands[k]
-
-    viol, pt = best_of(C)
+    X, Y, Rs = fd
+    C = np.array([X, Y]).T
+    R = np.array(Rs)
+    tol = slack * max(1.0, max(Rs) + 1.0)
+    viol, pt = _least_violation(C, C, R)
     if viol <= tol:
         return Point(float(pt[0]), float(pt[1]))
     pair_pts: List[Tuple[float, float]] = []
-    n = len(disks)
+    n = len(Rs)
     for i in range(n):
         for j in range(i + 1, n):
-            pair_pts.extend(_circle_circle_points(disks[i], disks[j]))
+            pair_pts.extend(_circle_circle_points(X[i], Y[i], Rs[i], X[j], Y[j], Rs[j]))
     if pair_pts:
-        viol2, pt2 = best_of(np.array(pair_pts))
+        viol2, pt2 = _least_violation(np.array(pair_pts), C, R)
         if viol2 < viol:
             viol, pt = viol2, pt2
     if viol <= tol:
@@ -253,9 +282,46 @@ def _disks_feasible_point(disks: Sequence[Disk], slack: float = 1e-9) -> Optiona
     return None
 
 
-def _circle_circle_points(d1: Disk, d2: Disk) -> List[Tuple[float, float]]:
-    x1, y1, r1 = float(d1.center.x), float(d1.center.y), float(d1.radius)
-    x2, y2, r2 = float(d2.center.x), float(d2.center.y), float(d2.radius)
+def _least_violation(P: np.ndarray, C: np.ndarray, R: np.ndarray) -> Tuple[float, np.ndarray]:
+    """The first row p of P with the least max_i(|p - c_i| - r_i), and that value.
+
+    The same row and value as ``np.argmin`` over the full |P| x |C| matrix,
+    without building it.  The disks are taken ``_VIOLATION_BLOCK`` at a time,
+    smallest radius first (the tightest disks reject most rows early).  After
+    each block the row of least partial max gets its full value, an upper
+    bound on the least one, and every row whose partial max exceeds that bound
+    is dropped.  A max is exact in any order, so each surviving row ends with
+    its full value and no dropped row is a least one; survivors keep their
+    order, so ties still go to the first row.  Up to one block of disks this
+    is a single evaluation of the full matrix.
+    """
+    px, py, cx, cy = P[:, 0], P[:, 1], C[:, 0], C[:, 1]
+
+    def viol(rows, cols) -> np.ndarray:
+        d = np.hypot(px[rows, None] - cx[None, cols], py[rows, None] - cy[None, cols])
+        return (d - R[None, cols]).max(axis=1)
+
+    if len(R) <= _VIOLATION_BLOCK:
+        v = viol(slice(None), slice(None))
+        k = int(np.argmin(v))
+        return float(v[k]), P[k]
+    order = np.argsort(R, kind="stable")
+    rows = np.arange(len(P))
+    part = np.full(len(P), -np.inf)
+    bound = np.inf
+    for s in range(0, len(R), _VIOLATION_BLOCK):
+        part = np.maximum(part, viol(rows, order[s : s + _VIOLATION_BLOCK]))
+        k = int(np.argmin(part))
+        bound = min(bound, float(viol(rows[k : k + 1], slice(None))[0]))
+        keep = part <= bound
+        rows, part = rows[keep], part[keep]
+    k = int(np.argmin(part))
+    return float(part[k]), P[rows[k]]
+
+
+def _circle_circle_points(
+    x1: float, y1: float, r1: float, x2: float, y2: float, r2: float
+) -> List[Tuple[float, float]]:
     dx, dy = x2 - x1, y2 - y1
     d = math.hypot(dx, dy)
     if d == 0.0:
@@ -281,35 +347,33 @@ class _DIBoundary:
 
 def _interval_intersect(intervals: List[Tuple[float, float]], lo: float, hi: float):
     """Intersect a set of angular intervals with [lo, hi] (mod 2*pi)."""
-    pieces = []
-    for k in (-1, 0, 1):
-        pieces.append((lo + k * TWO_PI, hi + k * TWO_PI))
+    pieces = ((lo - TWO_PI, hi - TWO_PI), (lo, hi), (lo + TWO_PI, hi + TWO_PI))
     out = []
     for a, b in intervals:
         for lo2, hi2 in pieces:
-            s, e = max(a, lo2), min(b, hi2)
+            s = lo2 if lo2 > a else a  # max(a, lo2), min(b, hi2) inlined
+            e = hi2 if hi2 < b else b
             if s < e:
                 out.append((s, e))
     return out
 
 
-def _di_boundary(disks: Sequence[Disk]) -> _DIBoundary:
+def _di_boundary(fd: _DiskFloats) -> _DIBoundary:
     arcs: List[Tuple[int, List[Tuple[float, float]]]] = []
     corners: List[Point] = []
-    n = len(disks)
-    for i, di in enumerate(disks):
-        ri = float(di.radius)
+    X, Y, R = fd
+    for i, ri in enumerate(R):
         if ri == 0.0:
             continue
+        xi, yi = X[i], Y[i]
         intervals: List[Tuple[float, float]] = [(0.0, TWO_PI)]
         dead = False
-        for j, dj in enumerate(disks):
+        for j, rj in enumerate(R):
             if i == j:
                 continue
-            dx = float(dj.center.x) - float(di.center.x)
-            dy = float(dj.center.y) - float(di.center.y)
+            dx = X[j] - xi
+            dy = Y[j] - yi
             d = math.hypot(dx, dy)
-            rj = float(dj.radius)
             if d == 0.0:
                 if ri <= rj:
                     continue
@@ -337,12 +401,7 @@ def _di_boundary(disks: Sequence[Disk]) -> _DIBoundary:
         if not full:
             for s, e in intervals:
                 for a in (s, e):
-                    corners.append(
-                        Point(
-                            float(di.center.x) + ri * math.cos(a),
-                            float(di.center.y) + ri * math.sin(a),
-                        )
-                    )
+                    corners.append(Point(xi + ri * math.cos(a), yi + ri * math.sin(a)))
     # dedupe corners
     uniq: List[Point] = []
     for p in corners:
@@ -1052,10 +1111,6 @@ def chord_interval(
         if len(vs) == 2:
             # clip to the segment extent as well
             t0, t1 = l.param_of(vs[0]), l.param_of(vs[1])
-            if abs(l.signed_offset(vs[0])) > max(tol.eps, 1e-9) and abs(
-                l.signed_offset(vs[1])
-            ) > max(tol.eps, 1e-9):
-                pass
             lo, hi = max(lo, min(t0, t1)), min(hi, max(t0, t1))
         if lo > hi + max(tol.eps, 1e-12):
             return None

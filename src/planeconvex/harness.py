@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .convexgeo import (
 )
 from .errors import GenerationFailed, IndeterminateGeometry, PreconditionViolated
 from .geom import DEFAULT_TOL, Point, Tolerance, dist, orient2d
-from .rng import SplitMix64, _mix
+from .rng import SplitMix64, trial_seed
 from .theorem import (
     Witness,
     carousel_witness,
@@ -170,24 +171,12 @@ def _random_body(rng: SplitMix64, center: Point, rho: float):
             rr = rho * (0.3 + 0.7 * rng.random())
             pts.append(
                 Point(
-                    Fraction(round((cx + rr * _cos(ang)) * 256), 256),
-                    Fraction(round((cy + rr * _sin(ang)) * 256), 256),
+                    Fraction(round((cx + rr * math.cos(ang)) * 256), 256),
+                    Fraction(round((cy + rr * math.sin(ang)) * 256), 256),
                 )
             )
         return convex_hull(pts)
     return Polygon((Point(Fraction(round(cx * 256), 256), Fraction(round(cy * 256), 256)),))
-
-
-def _cos(x: float) -> float:
-    import math
-
-    return math.cos(x)
-
-
-def _sin(x: float) -> float:
-    import math
-
-    return math.sin(x)
 
 
 def generate_instance(kind: str, seed: int) -> Dict[str, Any]:
@@ -262,17 +251,14 @@ def generate_instance(kind: str, seed: int) -> Dict[str, Any]:
 
 def _interior_rational_point(rng: SplitMix64, tri: Triangle) -> Point:
     a0, a1, a2 = tri.points
-    for _ in range(200):
-        w0 = rng.randint(1, 61)
-        w1 = rng.randint(1, 61)
-        w2 = rng.randint(1, 61)
-        s = w0 + w1 + w2
-        p = Point(
-            Fraction(w0 * a0.x + w1 * a1.x + w2 * a2.x, 1) / s,
-            Fraction(w0 * a0.y + w1 * a1.y + w2 * a2.y, 1) / s,
-        )
-        return p
-    raise GenerationFailed("no interior point")
+    w0 = rng.randint(1, 61)
+    w1 = rng.randint(1, 61)
+    w2 = rng.randint(1, 61)
+    s = w0 + w1 + w2
+    return Point(
+        Fraction(w0 * a0.x + w1 * a1.x + w2 * a2.x, 1) / s,
+        Fraction(w0 * a0.y + w1 * a1.y + w2 * a2.y, 1) / s,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +273,8 @@ def run_scenario(sc: Scenario) -> SweepReport:
     if sc.kind == "theorem-sweep":
         for t in range(trials):
             t0 = time.perf_counter()
-            trial_seed = (sc.seed ^ _mix(t + 1)) & ((1 << 64) - 1)
-            inst = generate_instance("theorem-sweep", trial_seed)
+            tseed = trial_seed(sc.seed, t)
+            inst = generate_instance("theorem-sweep", tseed)
             rec = run_theorem_instance(inst, sc.eps)
             rec.trial = t
             rec.millis = (time.perf_counter() - t0) * 1000.0
@@ -297,34 +283,34 @@ def run_scenario(sc: Scenario) -> SweepReport:
         grid = int(sc.params.get("grid", 50))
         for t in range(trials):
             t0 = time.perf_counter()
-            trial_seed = (sc.seed ^ _mix(t + 1)) & ((1 << 64) - 1)
-            inst = generate_instance("carousel-grid", trial_seed)
+            tseed = trial_seed(sc.seed, t)
+            inst = generate_instance("carousel-grid", tseed)
             ok = run_carousel_instance(inst, grid)
             records.append(
-                TrialRecord(t, sc.kind, trial_seed, "pass" if ok else "fail", millis=(time.perf_counter() - t0) * 1000.0)
+                TrialRecord(t, sc.kind, tseed, "pass" if ok else "fail", millis=(time.perf_counter() - t0) * 1000.0)
             )
     elif sc.kind == "crossing-study":
         for t in range(trials):
             t0 = time.perf_counter()
-            trial_seed = (sc.seed ^ _mix(t + 1)) & ((1 << 64) - 1)
-            inst = generate_instance("crossing-study", trial_seed)
+            tseed = trial_seed(sc.seed, t)
+            inst = generate_instance("crossing-study", tseed)
             d0 = serial.body_from_json(inst["body0"])
             d1 = serial.body_from_json(inst["body1"])
             crossing = fejes_toth_crossing(d0, d1, Tolerance(sc.eps))
             records.append(
                 TrialRecord(
-                    t, sc.kind, trial_seed, "fail" if crossing else "pass",
+                    t, sc.kind, tseed, "fail" if crossing else "pass",
                     millis=(time.perf_counter() - t0) * 1000.0,
                 )
             )
     elif sc.kind == "convexgeo-check":
         for t in range(trials):
             t0 = time.perf_counter()
-            trial_seed = (sc.seed ^ _mix(t + 1)) & ((1 << 64) - 1)
-            inst = generate_instance("convexgeo-check", trial_seed)
+            tseed = trial_seed(sc.seed, t)
+            inst = generate_instance("convexgeo-check", tseed)
             verdict = run_convexgeo_instance(inst)
             records.append(
-                TrialRecord(t, sc.kind, trial_seed, verdict, millis=(time.perf_counter() - t0) * 1000.0)
+                TrialRecord(t, sc.kind, tseed, verdict, millis=(time.perf_counter() - t0) * 1000.0)
             )
     elif sc.kind == "approx-study":
         budget = int(sc.params.get("disks", 200))

@@ -40,6 +40,11 @@ class SplitMix64:
         return seq[self.randint(0, len(seq) - 1)]
 
 
+def trial_seed(seed: int, trial: int) -> int:
+    """Seed of a trial's independent stream: seed XOR mixed trial index."""
+    return (seed ^ _mix(trial + 1)) & MASK
+
+
 def trial_rng(seed: int, trial: int) -> SplitMix64:
-    """Independent per-trial stream: seed XOR mixed trial index."""
-    return SplitMix64((seed ^ _mix(trial + 1)) & MASK)
+    """Independent per-trial stream."""
+    return SplitMix64(trial_seed(seed, trial))

@@ -509,21 +509,28 @@ def rational_disk_enumeration(u: ConvexBody, n: int) -> List[Disk]:
     # snap the reference center to the level-0 grid
     bx = Fraction(round(cx / S)) * S
     by = Fraction(round(cy / S)) * S
+    fbx, fby = float(bx), float(by)
     out: List[Disk] = []
     seen = set()
     level = 0
     while len(out) < n and level <= 6:
         step = S / (1 << level)
+        fstep = float(step)
         half = 12 * (1 << (2 * level))  # in units of step: box half-width 12*S*2^level
+        # Cells are keyed on floats and (i, j); the grid is dyadic, so
+        # fbx + i * fstep is float(bx + i * step) exactly, and i orders cells
+        # as bx + i * step does.  Fraction centres are built only for the
+        # cells taken.
         sectors: List[List[tuple]] = [[] for _ in range(64)]
         for i in range(-half, half + 1):
+            fx = fbx + i * fstep
+            dx = fx - cx
             for j in range(-half, half + 1):
-                gx = bx + i * step
-                gy = by + j * step
-                dx, dy = float(gx) - cx, float(gy) - cy
+                fy = fby + j * fstep
+                dy = fy - cy
                 d2 = dx * dx + dy * dy
                 s = int((math.atan2(dy, dx) % TWO_PI) / (TWO_PI / 64)) % 64
-                sectors[s].append((-d2, float(gy), float(gx), gx, gy))
+                sectors[s].append((-d2, fy, fx, i, j))
         for s in sectors:
             s.sort()
         cells = []
@@ -533,7 +540,8 @@ def rational_disk_enumeration(u: ConvexBody, n: int) -> List[Disk]:
                 if depth < len(s):
                     cells.append(s[depth])
             depth += 1
-        for _, _, _, gx, gy in cells:
+        for _, _, _, i, j in cells:
+            gx, gy = bx + i * step, by + j * step
             center = Point(gx, gy)
             r = _dyadic_ceil(farthest_dist(u, center) * (1.0 + 1e-12))
             key = (gx, gy, r)

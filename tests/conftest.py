@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,3 +40,55 @@ def dense_directions(n: int = 1 << 14):
     step = 2 * math.pi / n
     a = np.arange(n) * step
     return np.stack([np.cos(a), np.sin(a)], axis=1), step
+
+
+def brute_force_feasible_point(disks: Sequence[Disk], slack: float = 1e-9) -> Optional[Point]:
+    """Reference for ``bodies._disks_feasible_point``: the first candidate of
+    least violation max_i(|p - c_i| - r_i), read off the full candidate x
+    disk matrix (disk centres first, then pairwise circle points)."""
+    C = np.array([(float(d.center.x), float(d.center.y)) for d in disks])
+    R = np.array([float(d.radius) for d in disks])
+    tol = slack * max(1.0, float(R.max()) + 1.0)
+
+    def best_of(cands: np.ndarray):
+        dists = np.hypot(
+            cands[:, None, 0] - C[None, :, 0], cands[:, None, 1] - C[None, :, 1]
+        )
+        viol = (dists - R[None, :]).max(axis=1)
+        k = int(np.argmin(viol))
+        return float(viol[k]), cands[k]
+
+    viol, pt = best_of(C)
+    if viol <= tol:
+        return Point(float(pt[0]), float(pt[1]))
+    pair_pts = []
+    n = len(disks)
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair_pts.extend(_circle_circle_points(disks[i], disks[j]))
+    if pair_pts:
+        viol2, pt2 = best_of(np.array(pair_pts))
+        if viol2 < viol:
+            viol, pt = viol2, pt2
+    if viol <= tol:
+        return Point(float(pt[0]), float(pt[1]))
+    return None
+
+
+def _circle_circle_points(d1: Disk, d2: Disk):
+    x1, y1, r1 = float(d1.center.x), float(d1.center.y), float(d1.radius)
+    x2, y2, r2 = float(d2.center.x), float(d2.center.y), float(d2.radius)
+    dx, dy = x2 - x1, y2 - y1
+    d = math.hypot(dx, dy)
+    if d == 0.0:
+        return []
+    a = (d * d + r1 * r1 - r2 * r2) / (2 * d)
+    h2 = r1 * r1 - a * a
+    mx, my = x1 + a * dx / d, y1 + a * dy / d
+    if h2 <= 0:
+        if h2 > -1e-12 * max(1.0, r1 * r1):
+            return [(mx, my)]
+        return []
+    h = math.sqrt(h2)
+    ox, oy = -dy / d * h, dx / d * h
+    return [(mx + ox, my + oy), (mx - ox, my - oy)]

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from planeconvex.bodies import (
+    _disk_floats,
+    _disks_feasible_point,
+    _least_violation,
     Disk,
     DiskIntersection,
     HullOfUnion,
@@ -50,7 +53,12 @@ from planeconvex.fixtures import SQRT3_50, equilateral_triangle
 from planeconvex.geom import DirectedLine, Direction, Point, Tolerance
 from planeconvex.rng import SplitMix64
 from planeconvex.transforms import Translation, homothety
-from tests.conftest import dense_directions, random_disk_intersection, rational_point
+from tests.conftest import (
+    brute_force_feasible_point,
+    dense_directions,
+    random_disk_intersection,
+    rational_point,
+)
 
 F = Fraction
 EXACT = Tolerance(0.0)
@@ -355,6 +363,117 @@ class TestAbundance:
         bound = (np.abs(hu).max() + np.abs(hv).max()) * step
         a = abundance(u, v)
         assert dense - 1e-12 <= a <= dense + bound
+
+
+# Rational directions (a, b)/c on the unit circle, for exact distances.
+PYTHAGOREAN = ((3, 4, 5), (4, 3, 5), (5, 12, 13), (8, 15, 17), (0, 1, 1), (1, 0, 1))
+
+
+@st.composite
+def disk_sets(draw, min_size: int = 1, max_size: int = 8):
+    """Rational disk sets in which each disk after the first may be forced
+    into a relation with an earlier one: concentric, internally or externally
+    tangent, a zero-radius disk on its circle or at its centre, or disjoint
+    from it (an empty intersection)."""
+    den = draw(st.sampled_from([1, 2, 4, 8, 3]))
+    length = st.integers(0, 8 * den).map(lambda k: F(k, den))
+    coord = st.integers(-6 * den, 6 * den).map(lambda k: F(k, den))
+    disks = [Disk(Point(draw(coord), draw(coord)), draw(length))]
+    for _ in range(draw(st.integers(min_size, max_size)) - 1):
+        kind = draw(st.sampled_from(["free", "concentric", "internal", "external", "zero", "far"]))
+        base = draw(st.sampled_from(disks))
+        a, b, c = draw(st.sampled_from(PYTHAGOREAN))
+        a, b = a * draw(st.sampled_from([1, -1])), b * draw(st.sampled_from([1, -1]))
+        r = draw(length)
+        if kind == "free":
+            disks.append(Disk(Point(draw(coord), draw(coord)), r))
+            continue
+        if kind == "zero":
+            gap, r = draw(st.sampled_from([F(0), base.radius])), F(0)
+        else:
+            gap = {
+                "concentric": F(0),
+                "internal": abs(base.radius - r),
+                "external": base.radius + r,
+                "far": base.radius + r + F(1, den),
+            }[kind]
+        disks.append(Disk(Point(base.center.x + a * gap / c, base.center.y + b * gap / c), r))
+    return disks
+
+
+def _bits(p):
+    return None if p is None else (float(p.x).hex(), float(p.y).hex())
+
+
+class TestDiskIntersectionInternals:
+    @settings(max_examples=300, deadline=None)
+    @given(disk_sets())
+    def test_feasible_point_matches_full_matrix(self, disks):
+        got = _disks_feasible_point(_disk_floats(disks))
+        assert _bits(got) == _bits(brute_force_feasible_point(disks))
+
+    def test_feasible_point_takes_the_first_of_tied_candidates(self):
+        # The circles cross at (3, 4) and (3, -4), both exactly on both
+        # circles; the first-listed point wins the tie.
+        disks = [Disk(Point(0, 0), 5), Disk(Point(6, 0), 5)]
+        assert _disks_feasible_point(_disk_floats(disks)) == Point(3.0, 4.0)
+        assert brute_force_feasible_point(disks) == Point(3.0, 4.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(9, 40))
+    def test_feasible_point_matches_full_matrix_beyond_one_block(self, seed, n):
+        # Disks through or around a common rational point: nonempty sets large
+        # enough for the block-wise pruning, some with the point on a circle.
+        rng = SplitMix64(seed)
+        p = rational_point(rng, -4, 4, 4)
+        disks = []
+        for _ in range(n):
+            a, b, c = rng.choice(PYTHAGOREAN)
+            length = F(rng.randint(0, 32), 4)
+            center = Point(p.x + rng.choice([1, -1]) * a * length / c, p.y + rng.choice([1, -1]) * b * length / c)
+            disks.append(Disk(center, length + F(rng.randint(0, 3), 8)))
+        got = _disks_feasible_point(_disk_floats(disks))
+        assert got is not None
+        assert _bits(got) == _bits(brute_force_feasible_point(disks))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 40))
+    def test_least_violation_matches_full_matrix(self, seed, n):
+        # A coarse grid makes many rows tie, so the first-row rule is tested.
+        rng = np.random.default_rng(seed)
+        C = rng.integers(-8, 9, (n, 2)) / 2
+        R = rng.integers(0, 12, n) / 2
+        P = rng.integers(-8, 9, (4 * n + 3, 2)) / 2
+        full = (np.hypot(P[:, None, 0] - C[None, :, 0], P[:, None, 1] - C[None, :, 1]) - R).max(axis=1)
+        k = int(np.argmin(full))
+        v, p = _least_violation(P, C, R)
+        assert v == full[k]
+        assert p.tolist() == P[k].tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(disk_sets())
+    def test_boundary_corners_and_arcs_lie_on_the_body(self, disks):
+        try:
+            di = DiskIntersection(tuple(disks))
+        except EmptyInput:
+            assume(False)
+        X, Y, R = di.float_disks()
+
+        def gaps(x, y):
+            return [math.hypot(x - cx, y - cy) - r for cx, cy, r in zip(X, Y, R)]
+
+        b = di.boundary()
+        # An arc that runs past angle 0 is split there, and that split point
+        # is listed among the corners although it lies on one circle only.
+        splits = {(X[i] + R[i], Y[i]) for i, ivs in b.arcs if len(ivs) > 1}
+        for p in b.corners:
+            g = gaps(p.x, p.y)
+            assert max(g) <= 1e-9
+            assert sum(abs(x) <= 1e-9 for x in g) >= 2 or (p.x, p.y) in splits
+        for i, ivs in b.arcs:
+            for s, e in ivs:
+                m = 0.5 * (s + e)
+                assert max(gaps(X[i] + R[i] * math.cos(m), Y[i] + R[i] * math.sin(m))) <= 1e-9
 
 
 class TestLooselyIncludes:
