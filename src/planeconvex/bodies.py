@@ -371,6 +371,11 @@ def _di_boundary(fd: _DiskFloats) -> _DIBoundary:
         for j, rj in enumerate(R):
             if i == j:
                 continue
+            if rj == 0.0:
+                # A point disk holds no arc of positive length; acos of a t
+                # rounded just below 1 would leave a sliver off the point.
+                dead = True
+                break
             dx = X[j] - xi
             dy = Y[j] - yi
             d = math.hypot(dx, dy)
