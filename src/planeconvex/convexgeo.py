@@ -2,10 +2,17 @@
 
 Closure operators over labeled points, disks, or triangle shapes; exhaustive
 axiom and anti-exchange verification on bitmask subsets; the (dualized)
-lattice of closed sets; join-distributivity and join-irreducibles.  Point and
-shape closures are exact on rational data; disk closures take each
-containment margin in closed form, at the critical directions of the hull's
-support function.
+lattice of closed sets; join-distributivity and join-irreducibles.
+
+Point and shape closures are exact on rational data.  Such a ground set is
+scaled to integers once, and its cover table holds, for every subset of at
+most three of its points (or of its shapes' vertices), the points in that
+subset's closed hull.  By Carathéodory's theorem in the plane a point lies in
+the hull of a set iff it lies in the hull of at most three of its members, so
+a closure is one pass over the table, with no hull built per subset.  Float
+ground sets build the hull and test containment within ``DEFAULT_TOL``.  Disk
+closures take each containment margin in closed form, at the critical
+directions of the hull's support function.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +35,7 @@ from .bodies import (
     unit_directions,
 )
 from .errors import IndeterminateGeometry, SizeLimit
-from .geom import EXACT_TOL, DEFAULT_TOL, Point, Tolerance
+from .geom import DEFAULT_TOL, Point
 
 MAX_GROUND = 20
 MAX_LATTICE_GROUND = 16
@@ -69,6 +77,64 @@ class GroundSet:
         dist = np.hypot(*(C[i] - C[j]).T).reshape(len(R), len(R))
         return C @ dirs.T + R[:, None], (gap >= 0) & (dist <= gap), np.hypot(*C.T) + R
 
+    @cached_property
+    def cover_table(self) -> Optional[Tuple[np.ndarray, np.ndarray, List[int]]]:
+        """For a ground set of points or polygons with exact coordinates, over
+        the concatenated list of its vertices (a point is its own vertex):
+        the vertex bitmask of every subset of one to three vertices, the
+        bitmask of the vertices in that subset's closed hull, and each
+        element's vertex bitmask.  None when some coordinate is a float."""
+        parts = [_vertices(e) for e in self.elements]
+        pts = [v for vs in parts for v in vs]
+        if not all(v.exact for v in pts):
+            return None
+        owned, k = [], 0
+        for vs in parts:
+            owned.append(((1 << len(vs)) - 1) << k)
+            k += len(vs)
+        return (*_cover_table(pts), owned)
+
+
+def _vertices(e) -> Tuple[Point, ...]:
+    return (e,) if isinstance(e, Point) else e.vertices
+
+
+def _cover_table(pts: Sequence[Point]) -> Tuple[np.ndarray, np.ndarray]:
+    """Bitmasks over exact points: every 1-, 2- and 3-subset, and the points
+    in its closed hull, from integer orientation signs.  Each subset is a
+    triple (i, j, k), with repeats for the smaller ones.  A collinear triple
+    covers the closed segments [i, j] and [j, k], whose union is its hull
+    since they share an end; any other triple covers its closed triangle."""
+    scale = math.lcm(*(c.denominator for p in pts for c in p))
+    xy = [c.numerator * (scale // c.denominator) for p in pts for c in p]
+    n = len(pts)
+    # int64 holds the bitmasks and every product below; else Python ints
+    small = n < 63 and max(map(abs, xy)) < 1 << 29
+    dtype = np.int64 if small else object
+    X, Y = np.array(xy, dtype=dtype).reshape(n, 2).T
+    dx, dy = X[None, :] - X[:, None], Y[None, :] - Y[:, None]  # [a, b]: b - a
+    # orient[a, b, p] = cross(b - a, p - a); p on segment [a, b] iff
+    # orient is 0 and (a - p)·(b - p) <= 0
+    orient = dx[:, :, None] * dy[:, None, :] - dy[:, :, None] * dx[:, None, :]
+    seg = (orient == 0) & (dx.T[:, None, :] * dx.T[None, :, :] + dy.T[:, None, :] * dy.T[None, :, :] <= 0)
+    trip = (
+        [(i, i, i) for i in range(n)]
+        + [(i, j, j) for i, j in combinations(range(n), 2)]
+        + list(combinations(range(n), 3))
+    )
+    I, J, K = np.array(trip).reshape(-1, 3).T
+    o1, o2, o3 = orient[I, J], orient[J, K], orient[K, I]
+    tri = ((o1 >= 0) & (o2 >= 0) & (o3 >= 0)) | ((o1 <= 0) & (o2 <= 0) & (o3 <= 0))
+    cover = np.where((orient[I, J, K] == 0)[:, None], seg[I, J] | seg[J, K], tri)
+    bit = np.array([1 << v for v in range(n)], dtype=dtype)
+    return bit[I] | bit[J] | bit[K], (cover * bit).sum(axis=1)
+
+
+def _covered(table, vmask: int) -> int:
+    """Bitmask of the vertices in the hull of the vertices in vmask (> 0)."""
+    sets, covers, _ = table
+    return int(np.bitwise_or.reduce(covers[(sets & vmask) == sets]))
+
 
 class ClosureSystem:
     """A closure operator over subsets-as-bitmasks of a ground set."""
@@ -107,15 +173,10 @@ def closure_points(ground: GroundSet, mask: int) -> int:
     """Closure of a point subset: ground points inside its convex hull."""
     if mask == 0:
         return 0
-    pts = [ground.elements[i] for i in range(len(ground)) if mask >> i & 1]
-    hull = convex_hull(pts)
-    exact = all(p.exact for p in ground.elements)
-    tol = EXACT_TOL if exact else DEFAULT_TOL
-    out = 0
-    for i, p in enumerate(ground.elements):
-        if mask >> i & 1 or contains_point(hull, p, "closed", tol):
-            out |= 1 << i
-    return out
+    table = ground.cover_table
+    if table is None:
+        return _closure_within_tol(ground, mask)
+    return _covered(table, mask)  # vertex i is point i
 
 
 def closure_circles(
@@ -159,18 +220,22 @@ def closure_shapes(ground: GroundSet, mask: int) -> int:
     """
     if mask == 0:
         return 0
-    verts: List[Point] = []
-    for i in range(len(ground)):
-        if mask >> i & 1:
-            verts.extend(ground.elements[i].vertices)
-    hull = convex_hull(verts)
-    exact = all(v.exact for p in ground.elements for v in p.vertices)
-    tol = EXACT_TOL if exact else DEFAULT_TOL
+    table = ground.cover_table
+    if table is None:
+        return _closure_within_tol(ground, mask)
+    owned = table[2]
+    covered = _covered(table, sum(bits for i, bits in enumerate(owned) if mask >> i & 1))
+    return sum(1 << i for i, bits in enumerate(owned) if bits & covered == bits)
+
+
+def _closure_within_tol(ground: GroundSet, mask: int) -> int:
+    """Float-track closure of points or shapes: the elements whose vertices
+    all lie in the chosen elements' hull, within ``DEFAULT_TOL``."""
+    parts = [_vertices(e) for e in ground.elements]
+    hull = convex_hull([v for i, vs in enumerate(parts) if mask >> i & 1 for v in vs])
     out = 0
-    for i, p in enumerate(ground.elements):
-        if mask >> i & 1 or all(
-            contains_point(hull, v, "closed", tol) for v in p.vertices
-        ):
+    for i, vs in enumerate(parts):
+        if mask >> i & 1 or all(contains_point(hull, v, "closed", DEFAULT_TOL) for v in vs):
             out |= 1 << i
     return out
 

@@ -6,9 +6,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from planeconvex.bodies import Disk, DiskIntersection
+from planeconvex.bodies import Disk, DiskIntersection, contains_point, convex_hull
 from planeconvex.errors import EmptyInput
-from planeconvex.geom import Point
+from planeconvex.geom import DEFAULT_TOL, EXACT_TOL, Point
 from planeconvex.rng import SplitMix64
 
 
@@ -73,6 +73,21 @@ def brute_force_feasible_point(disks: Sequence[Disk], slack: float = 1e-9) -> Op
     if viol <= tol:
         return Point(float(pt[0]), float(pt[1]))
     return None
+
+
+def brute_force_closure_points(points: Sequence[Point], mask: int) -> int:
+    """Reference for ``convexgeo.closure_points``: build the hull of the
+    chosen points and test every point against it, exactly when every
+    coordinate is exact and within ``DEFAULT_TOL`` otherwise."""
+    if mask == 0:
+        return 0
+    hull = convex_hull([p for i, p in enumerate(points) if mask >> i & 1])
+    tol = EXACT_TOL if all(p.exact for p in points) else DEFAULT_TOL
+    out = 0
+    for i, p in enumerate(points):
+        if mask >> i & 1 or contains_point(hull, p, "closed", tol):
+            out |= 1 << i
+    return out
 
 
 def _circle_circle_points(d1: Disk, d2: Disk):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planeconvex.bodies import Disk
+from planeconvex.bodies import Disk, convex_hull
 from planeconvex.convexgeo import (
     ClosureSystem,
     GroundSet,
     closed_set_lattice,
+    closure_points,
+    closure_shapes,
     is_join_distributive,
     join_irreducibles,
     m3_lattice,
@@ -29,7 +31,7 @@ from planeconvex.fixtures import (
 )
 from planeconvex.geom import Point
 from planeconvex.rng import SplitMix64
-from tests.conftest import dense_directions, rational_point
+from tests.conftest import brute_force_closure_points, dense_directions, rational_point
 
 F = Fraction
 
@@ -52,6 +54,112 @@ class TestPointClosure:
             [Point(F(0), F(0)), Point(F(1), F(0)), Point(F(1), F(1)), Point(F(0), F(1))]
         )
         assert cs.closure(0b0011) == 0b0011  # two adjacent corners stay closed
+
+
+# Coordinates mix ints with Fractions of unrelated denominators.
+COORD = st.one_of(
+    st.integers(-6, 6),
+    st.builds(F, st.integers(-60, 60), st.sampled_from([2, 3, 7, 11, 97, 1009])),
+)
+
+
+@st.composite
+def point_configs(draw, free=(1, 6), forced=(0, 3)):
+    """Rational points (their number in the range ``free``), then more (in
+    the range ``forced``), each forced onto the line through two earlier
+    points (on or off their segment, or onto one of them) or onto an edge of
+    the hull of the earlier points."""
+    pts = draw(st.lists(st.builds(Point, COORD, COORD), min_size=free[0], max_size=free[1]))
+    for _ in range(draw(st.integers(*forced))):
+        if draw(st.booleans()):
+            a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+            t = draw(st.builds(F, st.integers(-3, 6), st.sampled_from([1, 2, 3, 5])))
+        else:
+            vs = convex_hull(pts).vertices
+            i = draw(st.integers(0, len(vs) - 1))
+            a, b = vs[i], vs[(i + 1) % len(vs)]
+            t = draw(st.builds(F, st.integers(0, 7), st.just(7)))
+        pts.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+    return pts
+
+
+# Scaled to integers, these points (two of them on the segments of the first
+# three) have orientation determinants far beyond 64 bits.
+_A, _B, _C = Point(F(1, 999983), F(2, 999979)), Point(F(10**6, 7), F(-3, 999961)), Point(F(-5, 999953), F(10**6, 11))
+HUGE_SCALE_POINTS = [_A, _B, _C, _B + (_C - _B).scaled(F(1, 3)), _A + (_B - _A).scaled(F(2, 5))]
+
+
+def brute_force_closure_shapes(shapes, mask: int) -> int:
+    """Shape i is in the closure iff all its vertices are in the points
+    closure of the chosen shapes' vertices."""
+    verts = [v for s in shapes for v in s.vertices]
+    owned, k = [], 0
+    for s in shapes:
+        owned.append(range(k, k + len(s.vertices)))
+        k += len(s.vertices)
+    covered = brute_force_closure_points(
+        verts, sum(1 << v for i, vs in enumerate(owned) if mask >> i & 1 for v in vs)
+    )
+    return sum(1 << i for i, vs in enumerate(owned) if all(covered >> v & 1 for v in vs))
+
+
+class TestPointClosureOracle:
+    """The cover table against the hull of every subset."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(point_configs())
+    @example([Point(F(1, 3), 2)])
+    @example([Point(0, 0), Point(F(1, 2), 0), Point(1, 0), Point(F(1, 2), 0)])
+    @example([Point(0, 0), Point(4, 0), Point(0, F(4, 7)), Point(2, F(2, 7)), Point(1, 0)])
+    @example(HUGE_SCALE_POINTS)
+    def test_every_mask_matches_hull_reference(self, pts):
+        ground = GroundSet(tuple(pts))
+        ref = [brute_force_closure_points(pts, m) for m in range(1 << len(pts))]
+        assert [closure_points(ground, m) for m in range(1 << len(pts))] == ref
+        closed = [m for m, c in enumerate(ref) if c == m]
+        assert points_closure_system(pts).closed_sets() == closed
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        point_configs(free=(17, 17), forced=(3, 3)),
+        st.lists(st.sets(st.integers(0, 19), min_size=1, max_size=10), min_size=40, max_size=40),
+    )
+    def test_twenty_points_on_sampled_masks(self, pts, subsets):
+        ground = GroundSet(tuple(pts))
+        for chosen in subsets:
+            mask = sum(1 << i for i in chosen)
+            assert closure_points(ground, mask) == brute_force_closure_points(pts, mask)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(point_configs(free=(1, 3), forced=(0, 1)), min_size=1, max_size=4))
+    def test_shapes_match_vertex_reference(self, groups):
+        shapes = [convex_hull(g) for g in groups]
+        ground = GroundSet(tuple(shapes))
+        for mask in range(1 << len(shapes)):
+            assert closure_shapes(ground, mask) == brute_force_closure_shapes(shapes, mask)
+
+    def test_shapes_with_more_vertices_than_a_64_bit_mask(self):
+        # 16 squares of side 2 at random positions k/4: 64 vertices
+        rng = SplitMix64(4)
+        shapes = []
+        for _ in range(16):
+            x, y = F(rng.randint(-40, 40), 4), F(rng.randint(-40, 40), 4)
+            shapes.append(convex_hull([Point(x + a, y + b) for a in (0, 2) for b in (0, 2)]))
+        ground = GroundSet(tuple(shapes))
+        for _ in range(20):
+            mask = rng.randint(1, (1 << 16) - 1) & rng.randint(1, (1 << 16) - 1) or 1
+            assert closure_shapes(ground, mask) == brute_force_closure_shapes(shapes, mask)
+
+    def test_float_point_near_an_edge_is_inside_within_tolerance(self):
+        # (1/2, -1e-10) lies 1e-10 outside the edge from (0, 0) to (1, 0):
+        # the float ground set keeps the hull path and counts it inside
+        # under DEFAULT_TOL (1e-9); the exact ground set does not.
+        floats = GroundSet((Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0), Point(0.5, -1e-10)))
+        assert floats.cover_table is None
+        assert closure_points(floats, 0b0111) == 0b1111
+        assert closure_points(floats, 0b0011) == 0b1011
+        exact = GroundSet((Point(0, 0), Point(1, 0), Point(0, 1), Point(F(1, 2), F(-1, 10**10))))
+        assert closure_points(exact, 0b0111) == 0b0111
 
 
 class TestCircleClosure:
@@ -225,7 +333,7 @@ class TestClosedSetLattice:
         try:
             cs = circles_closure_system(disks)
             lat = closed_set_lattice(cs)
-        except Exception:
+        except IndeterminateGeometry:
             return  # indeterminate borderline configuration: skip
         assert is_join_distributive(lat)
 
