@@ -4,14 +4,15 @@ Closure operators over labeled points, disks, or triangle shapes; exhaustive
 axiom and anti-exchange verification on bitmask subsets; the (dualized)
 lattice of closed sets; join-distributivity and join-irreducibles.
 
-Point and shape closures are exact on rational data.  Such a ground set is
-scaled to integers once, and its cover table holds, for every subset of at
-most three of its points (or of its shapes' vertices), the points in that
-subset's closed hull.  By Carathéodory's theorem in the plane a point lies in
-the hull of a set iff it lies in the hull of at most three of its members, so
-a closure is one pass over the table, with no hull built per subset.  Float
-ground sets build the hull and test containment within ``DEFAULT_TOL``.  Disk
-closures take each containment margin in closed form, at the critical
+Point and shape closures are exact on rational data.  An exact point ground
+set is scaled to integers once, and its cover table holds, for every subset of
+at most three of its points, the points in that subset's closed hull.  By
+Carathéodory's theorem in the plane a point lies in the hull of a set iff it
+lies in the hull of at most three of its members, so a point closure is one
+pass over the table, with no hull built per subset.  Float point ground sets,
+and all shape ground sets, build the hull of the chosen elements and test
+containment (exactly for rational shapes, within ``DEFAULT_TOL`` for floats).
+Disk closures take each containment margin in closed form, at the critical
 directions of the hull's support function.
 """
 
@@ -35,7 +36,7 @@ from .bodies import (
     unit_directions,
 )
 from .errors import IndeterminateGeometry, SizeLimit
-from .geom import DEFAULT_TOL, Point
+from .geom import EXACT_TOL, DEFAULT_TOL, Point, Tolerance
 
 MAX_GROUND = 20
 MAX_LATTICE_GROUND = 16
@@ -78,39 +79,27 @@ class GroundSet:
         return C @ dirs.T + R[:, None], (gap >= 0) & (dist <= gap), np.hypot(*C.T) + R
 
     @cached_property
-    def cover_table(self) -> Optional[Tuple[np.ndarray, np.ndarray, List[int]]]:
-        """For a ground set of points or polygons with exact coordinates, over
-        the concatenated list of its vertices (a point is its own vertex):
-        the vertex bitmask of every subset of one to three vertices, the
-        bitmask of the vertices in that subset's closed hull, and each
-        element's vertex bitmask.  None when some coordinate is a float."""
-        parts = [_vertices(e) for e in self.elements]
-        pts = [v for vs in parts for v in vs]
-        if not all(v.exact for v in pts):
+    def cover_table(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """For a ground set of points with exact coordinates: the bitmask of
+        every subset of one to three points, and the bitmask of the points in
+        that subset's closed hull.  None when some coordinate is a float."""
+        if not all(p.exact for p in self.elements):
             return None
-        owned, k = [], 0
-        for vs in parts:
-            owned.append(((1 << len(vs)) - 1) << k)
-            k += len(vs)
-        return (*_cover_table(pts), owned)
-
-
-def _vertices(e) -> Tuple[Point, ...]:
-    return (e,) if isinstance(e, Point) else e.vertices
+        return _cover_table(self.elements)
 
 
 def _cover_table(pts: Sequence[Point]) -> Tuple[np.ndarray, np.ndarray]:
-    """Bitmasks over exact points: every 1-, 2- and 3-subset, and the points
-    in its closed hull, from integer orientation signs.  Each subset is a
-    triple (i, j, k), with repeats for the smaller ones.  A collinear triple
-    covers the closed segments [i, j] and [j, k], whose union is its hull
-    since they share an end; any other triple covers its closed triangle."""
+    """Bitmasks over at most ``MAX_GROUND`` exact points: every 1-, 2- and
+    3-subset, and the points in its closed hull, from integer orientation
+    signs.  Each subset is a triple (i, j, k), with repeats for the smaller
+    ones.  A collinear triple covers the closed segments [i, j] and [j, k],
+    whose union is its hull since they share an end; any other triple covers
+    its closed triangle."""
     scale = math.lcm(*(c.denominator for p in pts for c in p))
     xy = [c.numerator * (scale // c.denominator) for p in pts for c in p]
     n = len(pts)
-    # int64 holds the bitmasks and every product below; else Python ints
-    small = n < 63 and max(map(abs, xy)) < 1 << 29
-    dtype = np.int64 if small else object
+    # int64 holds every product below; else Python ints
+    dtype = np.int64 if max(map(abs, xy)) < 1 << 29 else object
     X, Y = np.array(xy, dtype=dtype).reshape(n, 2).T
     dx, dy = X[None, :] - X[:, None], Y[None, :] - Y[:, None]  # [a, b]: b - a
     # orient[a, b, p] = cross(b - a, p - a); p on segment [a, b] iff
@@ -126,14 +115,8 @@ def _cover_table(pts: Sequence[Point]) -> Tuple[np.ndarray, np.ndarray]:
     o1, o2, o3 = orient[I, J], orient[J, K], orient[K, I]
     tri = ((o1 >= 0) & (o2 >= 0) & (o3 >= 0)) | ((o1 <= 0) & (o2 <= 0) & (o3 <= 0))
     cover = np.where((orient[I, J, K] == 0)[:, None], seg[I, J] | seg[J, K], tri)
-    bit = np.array([1 << v for v in range(n)], dtype=dtype)
+    bit = 1 << np.arange(n, dtype=np.int64)
     return bit[I] | bit[J] | bit[K], (cover * bit).sum(axis=1)
-
-
-def _covered(table, vmask: int) -> int:
-    """Bitmask of the vertices in the hull of the vertices in vmask (> 0)."""
-    sets, covers, _ = table
-    return int(np.bitwise_or.reduce(covers[(sets & vmask) == sets]))
 
 
 class ClosureSystem:
@@ -175,8 +158,9 @@ def closure_points(ground: GroundSet, mask: int) -> int:
         return 0
     table = ground.cover_table
     if table is None:
-        return _closure_within_tol(ground, mask)
-    return _covered(table, mask)  # vertex i is point i
+        return _closure_within_tol(ground, mask, DEFAULT_TOL)
+    sets, covers = table
+    return int(np.bitwise_or.reduce(covers[(sets & mask) == sets]))
 
 
 def closure_circles(
@@ -220,22 +204,18 @@ def closure_shapes(ground: GroundSet, mask: int) -> int:
     """
     if mask == 0:
         return 0
-    table = ground.cover_table
-    if table is None:
-        return _closure_within_tol(ground, mask)
-    owned = table[2]
-    covered = _covered(table, sum(bits for i, bits in enumerate(owned) if mask >> i & 1))
-    return sum(1 << i for i, bits in enumerate(owned) if bits & covered == bits)
+    exact = all(v.exact for p in ground.elements for v in p.vertices)
+    return _closure_within_tol(ground, mask, EXACT_TOL if exact else DEFAULT_TOL)
 
 
-def _closure_within_tol(ground: GroundSet, mask: int) -> int:
-    """Float-track closure of points or shapes: the elements whose vertices
-    all lie in the chosen elements' hull, within ``DEFAULT_TOL``."""
-    parts = [_vertices(e) for e in ground.elements]
+def _closure_within_tol(ground: GroundSet, mask: int, tol: Tolerance) -> int:
+    """Hull closure of points or shapes: the elements whose vertices all lie
+    in the chosen elements' hull, within ``tol``."""
+    parts = [(e,) if isinstance(e, Point) else e.vertices for e in ground.elements]
     hull = convex_hull([v for i, vs in enumerate(parts) if mask >> i & 1 for v in vs])
     out = 0
     for i, vs in enumerate(parts):
-        if mask >> i & 1 or all(contains_point(hull, v, "closed", DEFAULT_TOL) for v in vs):
+        if mask >> i & 1 or all(contains_point(hull, v, "closed", tol) for v in vs):
             out |= 1 << i
     return out
 

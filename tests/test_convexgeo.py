@@ -138,16 +138,22 @@ class TestPointClosureOracle:
         for mask in range(1 << len(shapes)):
             assert closure_shapes(ground, mask) == brute_force_closure_shapes(shapes, mask)
 
-    def test_shapes_with_more_vertices_than_a_64_bit_mask(self):
-        # 16 squares of side 2 at random positions k/4: 64 vertices
+    def test_twenty_decagons(self):
+        # 200 vertices in all: the hull path's cost grows with the vertices
+        # of the chosen shapes only, never with all triples of vertices
         rng = SplitMix64(4)
+        ring = [
+            Point(F(x, 4), F(y, 4))
+            for x, y in [(8, 0), (6, 5), (2, 8), (-2, 8), (-6, 5), (-8, 0), (-6, -5), (-2, -8), (2, -8), (6, -5)]
+        ]
         shapes = []
-        for _ in range(16):
-            x, y = F(rng.randint(-40, 40), 4), F(rng.randint(-40, 40), 4)
-            shapes.append(convex_hull([Point(x + a, y + b) for a in (0, 2) for b in (0, 2)]))
+        for _ in range(20):
+            d = Point(F(rng.randint(-40, 40), 4), F(rng.randint(-40, 40), 4))
+            shapes.append(convex_hull([v + d for v in ring]))
+        assert all(len(s.vertices) == 10 for s in shapes)
         ground = GroundSet(tuple(shapes))
         for _ in range(20):
-            mask = rng.randint(1, (1 << 16) - 1) & rng.randint(1, (1 << 16) - 1) or 1
+            mask = rng.randint(1, (1 << 20) - 1) & rng.randint(1, (1 << 20) - 1) or 1
             assert closure_shapes(ground, mask) == brute_force_closure_shapes(shapes, mask)
 
     def test_float_point_near_an_edge_is_inside_within_tolerance(self):
@@ -160,6 +166,18 @@ class TestPointClosureOracle:
         assert closure_points(floats, 0b0011) == 0b1011
         exact = GroundSet((Point(0, 0), Point(1, 0), Point(0, 1), Point(F(1, 2), F(-1, 10**10))))
         assert closure_points(exact, 0b0111) == 0b0111
+
+    def test_shape_vertex_near_an_edge_is_inside_only_for_floats(self):
+        # The second triangle has a vertex 1e-10 below the edge from (0, 0)
+        # to (4, 0) of the first: inside within DEFAULT_TOL for float
+        # vertices, outside for exact ones.
+        def ground(x):
+            big = convex_hull([Point(x(0), x(0)), Point(x(4), x(0)), Point(x(0), x(4))])
+            small = convex_hull([Point(x(1), x(1)), Point(x(2), x(1)), Point(x(2), -x(F(1, 10**10)))])
+            return GroundSet((big, small))
+
+        assert closure_shapes(ground(float), 0b01) == 0b11
+        assert closure_shapes(ground(F), 0b01) == 0b01
 
 
 class TestCircleClosure:
