@@ -12,15 +12,23 @@ envelopes' breakpoints and one stationary direction per pair of pieces.
 still searches a direction grid with local refinement.
 
 A DiskIntersection converts its disks to floats once, and its feasible point
-and boundary both read that conversion.  The feasible point is the first
-candidate of least violation max_i(|p - c_i| - r_i); ``_least_violation``
-finds it exactly without the full candidate x disk matrix, by taking the
-disks a block at a time and dropping every candidate whose partial max
-already exceeds the full violation of the best candidate so far.
+and boundary both read that conversion.  Its boundary clips each circle by
+the other disks, one exact interval intersection at a time; beyond
+``_VIOLATION_BLOCK`` disks, array passes over all pairs first drop the dead
+circles and, for each live one, the disks that cannot change its arc, with a
+float filter whose slack bounds numpy's angles against ``math``'s.  The
+feasible point is the first candidate (disk centres, then every pairwise
+circle point) of least violation max_i(|p - c_i| - r_i);
+``_least_violation`` finds it exactly without the full candidate x disk
+matrix, by taking the disks a block at a time, the boundary's own disks
+first, and dropping every candidate whose partial max already exceeds the
+full violation of the best candidate so far.  All outputs have the bits of
+the scalar formulas.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -123,7 +131,14 @@ class DiskIntersection(ConvexBody):
         if not self.disks:
             raise EmptyInput("disk intersection needs at least one disk")
         if self._feasible is None:
-            p = _disks_feasible_point(self.float_disks())
+            first: Sequence[int] = ()
+            if len(self.disks) > _VIOLATION_BLOCK:
+                # The boundary's arc disks lead the pruned search; abundance
+                # and the support queries need the boundary anyway.
+                b = _di_boundary(self.float_disks())
+                object.__setattr__(self, "_boundary_cache", b)
+                first = [i for i, _ in b.arcs]
+            p = _disks_feasible_point(self.float_disks(), first)
             if p is None:
                 raise EmptyInput("empty disk intersection")
             object.__setattr__(self, "_feasible", p)
@@ -132,7 +147,7 @@ class DiskIntersection(ConvexBody):
         """The disks' centres and radii as floats, converted once."""
         cached = getattr(self, "_float_cache", None)
         if cached is None:
-            cached = _disk_floats(self.disks)
+            cached = _DiskFloats(self.disks)
             object.__setattr__(self, "_float_cache", cached)
         return cached
 
@@ -232,49 +247,54 @@ def hull_of_union(u: ConvexBody, extra: Sequence[Point]) -> ConvexBody:
 # DiskIntersection internals
 
 
-class _DiskFloats(NamedTuple):
-    """A disk set's centres and radii as floats, converted from Fractions once."""
+class _DiskFloats:
+    """A disk set's centres and radii as floats, converted from Fractions
+    once: lists ``x``, ``y`` and ``r`` for scalar loops, arrays ``c`` (n x 2)
+    and ``radii``, and the centre distances of all pairs on first use."""
 
-    x: List[float]
-    y: List[float]
-    r: List[float]
+    def __init__(self, disks: Sequence[Disk]):
+        self.x = [float(d.center.x) for d in disks]
+        self.y = [float(d.center.y) for d in disks]
+        self.r = [float(d.radius) for d in disks]
+        self.c = np.array([self.x, self.y]).T
+        self.radii = np.array(self.r)
+        self._pairs: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def pairs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The index pairs (i, j), i < j, in lexicographic order, and each
+        pair's centre distance from ``math.hypot`` (``np.hypot`` may differ
+        in the last bit)."""
+        if self._pairs is None:
+            n = len(self.r)
+            i, j = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
+            dx, dy = self.c.T.take(j, axis=1) - self.c.T.take(i, axis=1)
+            self._pairs = i, j, np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(i))
+        return self._pairs
 
 
-def _disk_floats(disks: Sequence[Disk]) -> _DiskFloats:
-    return _DiskFloats(
-        [float(d.center.x) for d in disks],
-        [float(d.center.y) for d in disks],
-        [float(d.radius) for d in disks],
-    )
-
-
-# Disks per step of the pruned least-violation search.
+# Disks per step of the pruned least-violation search; beyond this many
+# disks a DiskIntersection takes the array paths.
 _VIOLATION_BLOCK = 8
 
 
-def _disks_feasible_point(fd: _DiskFloats, slack: float = 1e-9) -> Optional[Point]:
+def _disks_feasible_point(fd: _DiskFloats, first: Sequence[int] = (), slack: float = 1e-9) -> Optional[Point]:
     """A point in every disk, or None.
 
     Candidates: disk centers, then pairwise circle intersections (including
     tangency points); for disks this candidate set is complete whenever the
     intersection is nonempty.  Of each candidate list the first one of least
     violation max_i(|p - c_i| - r_i) is taken, found by the pruned exact
-    search of ``_least_violation``.
+    search of ``_least_violation``, which takes the disks ``first`` (the
+    boundary's arc disks) before the others.
     """
-    X, Y, Rs = fd
-    C = np.array([X, Y]).T
-    R = np.array(Rs)
-    tol = slack * max(1.0, max(Rs) + 1.0)
-    viol, pt = _least_violation(C, C, R)
+    C = fd.c
+    tol = slack * max(1.0, max(fd.r) + 1.0)
+    viol, pt = _least_violation(C, C, fd.radii, first)
     if viol <= tol:
         return Point(float(pt[0]), float(pt[1]))
-    pair_pts: List[Tuple[float, float]] = []
-    n = len(Rs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_pts.extend(_circle_circle_points(X[i], Y[i], Rs[i], X[j], Y[j], Rs[j]))
-    if pair_pts:
-        viol2, pt2 = _least_violation(np.array(pair_pts), C, R)
+    pair_pts = _circle_pair_points(fd)
+    if len(pair_pts):
+        viol2, pt2 = _least_violation(pair_pts, C, fd.radii, first)
         if viol2 < viol:
             viol, pt = viol2, pt2
     if viol <= tol:
@@ -282,18 +302,28 @@ def _disks_feasible_point(fd: _DiskFloats, slack: float = 1e-9) -> Optional[Poin
     return None
 
 
-def _least_violation(P: np.ndarray, C: np.ndarray, R: np.ndarray) -> Tuple[float, np.ndarray]:
+def _least_violation(
+    P: np.ndarray, C: np.ndarray, R: np.ndarray, first: Sequence[int] = ()
+) -> Tuple[float, np.ndarray]:
     """The first row p of P with the least max_i(|p - c_i| - r_i), and that value.
 
-    The same row and value as ``np.argmin`` over the full |P| x |C| matrix,
-    without building it.  The disks are taken ``_VIOLATION_BLOCK`` at a time,
-    smallest radius first (the tightest disks reject most rows early).  After
-    each block the row of least partial max gets its full value, an upper
-    bound on the least one, and every row whose partial max exceeds that bound
-    is dropped.  A max is exact in any order, so each surviving row ends with
-    its full value and no dropped row is a least one; survivors keep their
-    order, so ties still go to the first row.  Up to one block of disks this
-    is a single evaluation of the full matrix.
+    The same row and value as ``np.argmin`` over the full |P| x |C| matrix
+    (distances from ``np.hypot``), without building it.  The disks are taken
+    in blocks of 1, 2, 4, ... and then ``_VIOLATION_BLOCK`` at a time: those
+    listed in ``first``, then the others, each group smallest radius first
+    (the boundary's disks and the tightest ones reject most rows early, each
+    about half of them).  After each block the row of least
+    partial max gets its full value, an upper bound on the least one, and
+    every row whose partial max exceeds that bound is dropped; once one block
+    of rows is left, those rows get their full values.  A max is exact in any
+    order, so no dropped row is a least one, and survivors keep their order,
+    so ties still go to the first row.
+
+    The partial maxima only decide drops, so they are taken as
+    sqrt(dx^2 + dy^2) - r, within a few ulps of the ``np.hypot`` values at a
+    fraction of the cost, and a row is dropped only when its partial max
+    exceeds the bound by 1e-12 of the coordinates' scale.  Up to one block of
+    disks this is a single evaluation of the full matrix.
     """
     px, py, cx, cy = P[:, 0], P[:, 1], C[:, 0], C[:, 1]
 
@@ -305,37 +335,77 @@ def _least_violation(P: np.ndarray, C: np.ndarray, R: np.ndarray) -> Tuple[float
         v = viol(slice(None), slice(None))
         k = int(np.argmin(v))
         return float(v[k]), P[k]
-    order = np.argsort(R, kind="stable")
+    later = np.ones(len(R), dtype=bool)
+    later[list(first)] = False
+    order = np.lexsort((R, later))
+    slack = 1e-12 * (2 * float(np.abs(P).max() + np.abs(C).max()) + float(R.max()))
     rows = np.arange(len(P))
+    qx, qy = px.copy(), py.copy()  # the rows still in the search
     part = np.full(len(P), -np.inf)
     bound = np.inf
-    for s in range(0, len(R), _VIOLATION_BLOCK):
-        part = np.maximum(part, viol(rows, order[s : s + _VIOLATION_BLOCK]))
+    s, size = 0, 1
+    while s < len(R) and len(rows) > _VIOLATION_BLOCK:
+        cols = order[s : s + size]
+        s, size = s + size, min(2 * size, _VIOLATION_BLOCK)
+        dx, dy = cx[cols, None] - qx, cy[cols, None] - qy
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.sqrt(dx, out=dx)
+        dx -= R[cols, None]
+        part = np.maximum(part, dx.max(axis=0))
         k = int(np.argmin(part))
         bound = min(bound, float(viol(rows[k : k + 1], slice(None))[0]))
-        keep = part <= bound
-        rows, part = rows[keep], part[keep]
-    k = int(np.argmin(part))
-    return float(part[k]), P[rows[k]]
+        keep = np.flatnonzero(part <= bound + slack)
+        rows, part, qx, qy = rows.take(keep), part.take(keep), qx.take(keep), qy.take(keep)
+    v = viol(rows, slice(None))
+    k = int(np.argmin(v))
+    return float(v[k]), P[rows[k]]
 
 
-def _circle_circle_points(
-    x1: float, y1: float, r1: float, x2: float, y2: float, r2: float
-) -> List[Tuple[float, float]]:
-    dx, dy = x2 - x1, y2 - y1
-    d = math.hypot(dx, dy)
-    if d == 0.0:
-        return []
-    a = (d * d + r1 * r1 - r2 * r2) / (2 * d)
-    h2 = r1 * r1 - a * a
-    mx, my = x1 + a * dx / d, y1 + a * dy / d
-    if h2 <= 0:
-        if h2 > -1e-12 * max(1.0, r1 * r1):
-            return [(mx, my)]
-        return []
-    h = math.sqrt(h2)
-    ox, oy = -dy / d * h, dx / d * h
-    return [(mx + ox, my + oy), (mx - ox, my - oy)]
+_QUARTER_TURN = np.array([[-1.0], [1.0]])
+
+
+def _circle_pair_points(fd: _DiskFloats) -> np.ndarray:
+    """Every pairwise circle point, one row each: pairs (i, j), i < j, in
+    lexicographic order, each with its + point before its - point, one point
+    at a tangency and none for concentric or separate circles.  Beyond
+    ``math.hypot`` for the distance this is plain IEEE arithmetic in the
+    order of the scalar formula, so every point has its bits."""
+    if len(fd.r) <= _VIOLATION_BLOCK:
+        # A few pairs cost less as Python floats than as array passes.
+        X, Y, R = fd.x, fd.y, fd.r
+        pts = []
+        for i, j in itertools.combinations(range(len(R)), 2):
+            dx, dy = X[j] - X[i], Y[j] - Y[i]
+            d = math.hypot(dx, dy)
+            if d == 0.0:
+                continue
+            a = (d * d + R[i] * R[i] - R[j] * R[j]) / (2 * d)
+            h2 = R[i] * R[i] - a * a
+            mx, my = X[i] + a * dx / d, Y[i] + a * dy / d
+            if h2 > 0:
+                h = math.sqrt(h2)
+                ox, oy = -dy / d * h, dx / d * h
+                pts += [(mx + ox, my + oy), (mx - ox, my - oy)]
+            elif h2 > -1e-12 * max(1.0, R[i] * R[i]):
+                pts.append((mx, my))
+        return np.array(pts).reshape(-1, 2)
+    i, j, d = fd.pairs()
+    c1 = fd.c.T.take(i, axis=1)
+    dc = fd.c.T.take(j, axis=1) - c1
+    r1, r2 = fd.radii[i], fd.radii[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (d * d + r1 * r1 - r2 * r2) / (2 * d)
+        h2 = r1 * r1 - a * a
+        mid = c1 + a * dc / d
+        # (-dy / d * h, dx / d * h): negation is exact
+        off = (dc / d * np.sqrt(h2))[::-1] * _QUARTER_TURN
+    two = (d != 0.0) & (h2 > 0)  # crossing: both points
+    some = (d != 0.0) & (h2 > -1e-12 * np.maximum(1.0, r1 * r1))  # crossing or touching
+    plus, minus = np.where(two, mid + off, mid), mid - off
+    pts = np.stack([plus[0], plus[1], minus[0], minus[1]], axis=1).reshape(-1, 2)
+    return pts.take(np.flatnonzero(np.stack([some, two], axis=1)), axis=0)
 
 
 @dataclass
@@ -345,74 +415,149 @@ class _DIBoundary:
     corners: List[Point]
 
 
-def _interval_intersect(intervals: List[Tuple[float, float]], lo: float, hi: float):
-    """Intersect a set of angular intervals with [lo, hi] (mod 2*pi)."""
-    pieces = ((lo - TWO_PI, hi - TWO_PI), (lo, hi), (lo + TWO_PI, hi + TWO_PI))
-    out = []
-    for a, b in intervals:
-        for lo2, hi2 in pieces:
-            s = lo2 if lo2 > a else a  # max(a, lo2), min(b, hi2) inlined
-            e = hi2 if hi2 < b else b
-            if s < e:
-                out.append((s, e))
-    return out
-
-
 def _di_boundary(fd: _DiskFloats) -> _DIBoundary:
+    """The arcs of the circles that bound the intersection, and its corners.
+
+    Circle i keeps the angles inside every other disk j, [beta - gamma, beta
+    + gamma] with beta = atan2(c_j - c_i) and gamma = acos(t), t = (r_i^2 +
+    d^2 - r_j^2) / (2 r_i d), intersected with [0, 2 pi]; an arc past angle 0
+    is split there.  Disk j kills circle i when j is a point (it holds no
+    arc of positive length, and acos of a t rounded just below 1 would leave
+    a sliver off the point) or when circle i lies outside it (t >= 1 and not
+    tangent from inside, or the same centre and a larger radius), and cuts
+    nothing when t <= -1.
+
+    As a set the arc does not depend on the order of the disks, and each
+    endpoint is one of the floats beta +- gamma (+- 2 pi), 0 or 2 pi, so
+    the arc is the same when built from only the disks that can change it.
+    Up to ``_VIOLATION_BLOCK`` disks every circle meets every other disk;
+    beyond, ``_arc_filter`` drops the dead circles and the disks that cannot
+    change an arc in array passes.  Corners are the arc endpoints of circles
+    that are not whole, in circle order; a corner within 1e-9 of an earlier
+    one is dropped.
+    """
+    n = len(fd.r)
+    if n > _VIOLATION_BLOCK:
+        circles, clippers = _arc_filter(fd)
+    else:
+        circles, clippers = range(n), [range(n)] * n
+    X, Y, R = fd.x, fd.y, fd.r
     arcs: List[Tuple[int, List[Tuple[float, float]]]] = []
     corners: List[Point] = []
-    X, Y, R = fd
-    for i, ri in enumerate(R):
+    for i, others in zip(circles, clippers):
+        xi, yi, ri = X[i], Y[i], R[i]
         if ri == 0.0:
             continue
-        xi, yi = X[i], Y[i]
         intervals: List[Tuple[float, float]] = [(0.0, TWO_PI)]
-        dead = False
-        for j, rj in enumerate(R):
-            if i == j:
+        for j in others:
+            if j == i:
                 continue
+            rj = R[j]
             if rj == 0.0:
                 # A point disk holds no arc of positive length; acos of a t
                 # rounded just below 1 would leave a sliver off the point.
-                dead = True
+                intervals = []
                 break
-            dx = X[j] - xi
-            dy = Y[j] - yi
-            d = math.hypot(dx, dy)
-            if d == 0.0:
+            dx, dy = X[j] - xi, Y[j] - yi
+            dij = math.hypot(dx, dy)
+            if dij == 0.0:
                 if ri <= rj:
                     continue
-                dead = True
+                intervals = []
                 break
-            t = (ri * ri + d * d - rj * rj) / (2 * ri * d)
+            t = (ri * ri + dij * dij - rj * rj) / (2 * ri * dij)
             if t <= -1.0:
                 continue
             if t >= 1.0:
-                if d <= rj - ri + 1e-12 * max(1.0, rj):
+                if dij <= rj - ri + 1e-12 * max(1.0, rj):
                     continue  # tangent from inside; circle survives
-                dead = True
+                intervals = []
                 break
             beta = math.atan2(dy, dx)
             gamma = math.acos(t)
-            intervals = _interval_intersect(intervals, beta - gamma, beta + gamma)
+            lo, hi = beta - gamma, beta + gamma
+            pieces = ((lo - TWO_PI, hi - TWO_PI), (lo, hi), (lo + TWO_PI, hi + TWO_PI))
+            clipped = []
+            for a, b in intervals:
+                for lo2, hi2 in pieces:
+                    s = lo2 if lo2 > a else a
+                    e = hi2 if hi2 < b else b
+                    if s < e:
+                        clipped.append((s, e))
+            intervals = clipped
             if not intervals:
-                dead = True
                 break
-        if dead or not intervals:
+        if not intervals:
             continue
-        intervals = sorted(intervals)
+        intervals.sort()
         arcs.append((i, intervals))
         full = sum(e - s for s, e in intervals) >= TWO_PI - 1e-12
         if not full:
             for s, e in intervals:
                 for a in (s, e):
                     corners.append(Point(xi + ri * math.cos(a), yi + ri * math.sin(a)))
-    # dedupe corners
     uniq: List[Point] = []
     for p in corners:
         if all(dist(p, q) > 1e-9 for q in uniq):
             uniq.append(p)
     return _DIBoundary(arcs, uniq)
+
+
+# Bound on the difference between numpy's and math's atan2 and acos (a few
+# ulps), with room to spare.
+_ANGLE_SLACK = 1e-9
+
+
+def _arc_filter(fd: _DiskFloats) -> Tuple[List[int], List[List[int]]]:
+    """The circles of ``_di_boundary`` that may keep an arc, and for each the
+    other disks that may change it, from array passes over all pairs.
+
+    A point disk kills every circle, and the other kill rules are evaluated
+    exactly, with the same t.  The arcs are then taken in float
+    (``np.arctan2``, ``np.arccos``), each within ``_ANGLE_SLACK`` of its
+    exact arc.  Around a reference arc shorter than a half circle every other
+    such arc unwraps without ambiguity, so their intersection is [L, H], the
+    max of their starts against the min of their ends, and the exact arc
+    lies in [L - 2 slack, H + 2 slack].  Widened once more, this is an arc A
+    of centre m and half-width w.  A circle is dead when some arc, widened by
+    the slack, misses A.  Otherwise its arc is clipped by the reference disk,
+    which keeps it near [L, H], and by every disk whose arc, narrowed by the
+    slack, does not hold A (those of L and H among them), which leaves it in
+    A; the disks whose arcs hold A cannot change it.  A circle without short
+    arcs is clipped by every disk that cuts it.
+    """
+    x, y, r = fd.c[:, 0], fd.c[:, 1], fd.radii
+    if not r.all():
+        return [], []
+    i, j, dij = fd.pairs()
+    d = np.zeros((len(r), len(r)))
+    d[i, j] = d[j, i] = dij
+    rows = np.arange(len(r))
+    ri, rj = r[:, None], r[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (ri * ri + d * d - rj * rj) / (2 * ri * d)
+        gamma = np.arccos(t)  # nan where |t| > 1
+    outside = (t >= 1.0) & (d > rj - ri + 1e-12 * np.maximum(1.0, rj))
+    kill = ((d == 0.0) & (ri > rj)) | outside
+    cut = np.abs(t) < 1.0
+    short = cut & (gamma < 0.5 * math.pi - 2 * _ANGLE_SLACK)
+    beta = np.arctan2(y[None, :] - y[:, None], x[None, :] - x[:, None])  # direction of c_j - c_i
+    ref = np.argmin(np.where(short, gamma, np.inf), axis=1)
+    rel = beta - beta[rows, ref][:, None]
+    rel = np.where(rel > math.pi, rel - TWO_PI, np.where(rel <= -math.pi, rel + TWO_PI, rel))
+    a = np.where(short, rel - gamma, -np.inf).max(axis=1) - 3 * _ANGLE_SLACK
+    b = np.where(short, rel + gamma, np.inf).min(axis=1) + 3 * _ANGLE_SLACK
+    with np.errstate(invalid="ignore"):
+        m, w = (0.5 * (a + b))[:, None], (0.5 * (b - a))[:, None]  # nan without short arcs
+    e = np.abs(rel - m)
+    e = np.where(e > math.pi, TWO_PI - e, e)  # circular distance of the centres
+    held = e + w + _ANGLE_SLACK <= gamma
+    held[rows, ref] = False
+    misses = e > gamma + _ANGLE_SLACK + w
+    alive = ~(kill | (cut & misses)).any(axis=1)
+    circles = np.flatnonzero(alive)
+    keep = cut[circles] & ~held[circles]
+    return circles.tolist(), [np.flatnonzero(k).tolist() for k in keep]
 
 
 def _angle_in_intervals(a: float, intervals: List[Tuple[float, float]], slack: float = 1e-12) -> bool:

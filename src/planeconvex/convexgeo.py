@@ -274,13 +274,13 @@ def verify_anti_exchange(
         raise SizeLimit(f"ground set capped at {MAX_GROUND}")
     for X in cs.closed_sets():
         outside = [i for i in range(n) if not (X >> i & 1)]
-        for p in outside:
-            cp = cs.closure(X | 1 << p)
-            for q in outside:
-                if q == p:
-                    continue
-                cq = cs.closure(X | 1 << q)
-                if (cq >> p & 1) and (cp >> q & 1):
+        # Phi(X | q) once per q, asked for in the order of the first pass.
+        closed: List[int] = []
+        for a, p in enumerate(outside):
+            for b, q in enumerate(outside):
+                if b == len(closed):
+                    closed.append(cs.closure(X | 1 << q))
+                if a != b and (closed[b] >> p & 1) and (closed[a] >> q & 1):
                     return False, (p, q, X)
     return True, None
 

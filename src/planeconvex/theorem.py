@@ -514,43 +514,34 @@ def rational_disk_enumeration(u: ConvexBody, n: int) -> List[Disk]:
     seen = set()
     level = 0
     while len(out) < n and level <= 6:
-        step = S / (1 << level)
-        fstep = float(step)
         half = 12 * (1 << (2 * level))  # in units of step: box half-width 12*S*2^level
-        # Cells are keyed on floats and (i, j); the grid is dyadic, so
-        # fbx + i * fstep is float(bx + i * step) exactly, and i orders cells
-        # as bx + i * step does.  Fraction centres are built only for the
-        # cells taken.
-        sectors: List[List[tuple]] = [[] for _ in range(64)]
-        for i in range(-half, half + 1):
-            fx = fbx + i * fstep
-            dx = fx - cx
-            for j in range(-half, half + 1):
-                fy = fby + j * fstep
-                dy = fy - cy
-                d2 = dx * dx + dy * dy
-                s = int((math.atan2(dy, dx) % TWO_PI) / (TWO_PI / 64)) % 64
-                sectors[s].append((-d2, fy, fx, i, j))
-        for s in sectors:
-            s.sort()
-        cells = []
-        depth = 0
-        while any(depth < len(s) for s in sectors):
-            for s in sectors:
-                if depth < len(s):
-                    cells.append(s[depth])
-            depth += 1
-        for _, _, _, i, j in cells:
-            gx, gy = bx + i * step, by + j * step
-            center = Point(gx, gy)
-            r = _dyadic_ceil(farthest_dist(u, center) * (1.0 + 1e-12))
+        # Cell (i, j) has centre (bx + i * step, by + j * step), step =
+        # S / 2^level.  The grid is dyadic, so fbx + i * float(step) is that
+        # number exactly, as a float: it keys the cell, and the disks taken
+        # get it back as a Fraction.
+        offsets = np.arange(-half, half + 1) * float(S / (1 << level))
+        fx = np.repeat(fbx + offsets, len(offsets))
+        fy = np.tile(fby + offsets, len(offsets))
+        dx, dy = fx - cx, fy - cy
+        angle = np.fromiter(map(math.atan2, dy.tolist(), dx.tolist()), float, len(fx))
+        sector = ((angle % TWO_PI) / (TWO_PI / 64)).astype(int) % 64
+        # 64 angular sectors, each farthest first (ties by y, then x); cells
+        # are taken round-robin over the sectors, one per sector and depth.
+        order = np.lexsort((fx, fy, -(dx * dx + dy * dy), sector))
+        by_sector = sector[order]
+        depth = np.arange(len(order)) - np.searchsorted(by_sector, by_sector)
+        cells = order[np.lexsort((by_sector, depth))]
+        fxs, fys = fx.tolist(), fy.tolist()
+        for cell in cells.tolist():
+            gx, gy = fxs[cell], fys[cell]
+            r = _dyadic_ceil(farthest_dist(u, Point(gx, gy)) * (1.0 + 1e-12))
             key = (gx, gy, r)
             if key in seen:
                 continue
             seen.add(key)
             if not out:
                 r = r * Fraction(9, 8)  # strict containment for the first disk
-            out.append(Disk(center, r))
+            out.append(Disk(Point(Fraction(gx), Fraction(gy)), r))
             if len(out) >= n:
                 break
         level += 1

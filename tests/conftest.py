@@ -8,8 +8,10 @@ import numpy as np
 
 from planeconvex.bodies import Disk, DiskIntersection, contains_point, convex_hull
 from planeconvex.errors import EmptyInput
-from planeconvex.geom import DEFAULT_TOL, EXACT_TOL, Point
+from planeconvex.geom import DEFAULT_TOL, EXACT_TOL, Point, dist
 from planeconvex.rng import SplitMix64
+
+TWO_PI = 2.0 * math.pi
 
 
 def rational_point(rng: SplitMix64, lo: int = -10, hi: int = 10, den: int = 8) -> Point:
@@ -51,21 +53,18 @@ def brute_force_feasible_point(disks: Sequence[Disk], slack: float = 1e-9) -> Op
     tol = slack * max(1.0, float(R.max()) + 1.0)
 
     def best_of(cands: np.ndarray):
-        dists = np.hypot(
-            cands[:, None, 0] - C[None, :, 0], cands[:, None, 1] - C[None, :, 1]
-        )
-        viol = (dists - R[None, :]).max(axis=1)
+        # The matrix in slices of rows, to keep 200-disk sets small in memory.
+        viol = np.concatenate([
+            (np.hypot(rows[:, None, 0] - C[None, :, 0], rows[:, None, 1] - C[None, :, 1]) - R[None, :]).max(axis=1)
+            for rows in np.array_split(cands, -(-len(cands) // 2048))
+        ])
         k = int(np.argmin(viol))
         return float(viol[k]), cands[k]
 
     viol, pt = best_of(C)
     if viol <= tol:
         return Point(float(pt[0]), float(pt[1]))
-    pair_pts = []
-    n = len(disks)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_pts.extend(_circle_circle_points(disks[i], disks[j]))
+    pair_pts = brute_force_pair_points(disks)
     if pair_pts:
         viol2, pt2 = best_of(np.array(pair_pts))
         if viol2 < viol:
@@ -73,6 +72,86 @@ def brute_force_feasible_point(disks: Sequence[Disk], slack: float = 1e-9) -> Op
     if viol <= tol:
         return Point(float(pt[0]), float(pt[1]))
     return None
+
+
+def brute_force_pair_points(disks: Sequence[Disk]):
+    """Every pairwise circle point of the disks, pair by pair (i < j in
+    lexicographic order), from the scalar formula."""
+    return [p for i, a in enumerate(disks) for b in disks[i + 1 :] for p in _circle_circle_points(a, b)]
+
+
+def brute_force_di_boundary(disks: Sequence[Disk]):
+    """Reference for ``bodies._di_boundary``, as (arcs, corners): every
+    circle clipped by every other disk in index order, one interval
+    intersection at a time."""
+    X = [float(d.center.x) for d in disks]
+    Y = [float(d.center.y) for d in disks]
+    R = [float(d.radius) for d in disks]
+    arcs = []
+    corners = []
+    for i, ri in enumerate(R):
+        if ri == 0.0:
+            continue
+        xi, yi = X[i], Y[i]
+        intervals = [(0.0, TWO_PI)]
+        dead = False
+        for j, rj in enumerate(R):
+            if i == j:
+                continue
+            if rj == 0.0:
+                # A point disk holds no arc of positive length; acos of a t
+                # rounded just below 1 would leave a sliver off the point.
+                dead = True
+                break
+            dx = X[j] - xi
+            dy = Y[j] - yi
+            d = math.hypot(dx, dy)
+            if d == 0.0:
+                if ri <= rj:
+                    continue
+                dead = True
+                break
+            t = (ri * ri + d * d - rj * rj) / (2 * ri * d)
+            if t <= -1.0:
+                continue
+            if t >= 1.0:
+                if d <= rj - ri + 1e-12 * max(1.0, rj):
+                    continue  # tangent from inside; circle survives
+                dead = True
+                break
+            beta = math.atan2(dy, dx)
+            gamma = math.acos(t)
+            intervals = _interval_intersect(intervals, beta - gamma, beta + gamma)
+            if not intervals:
+                dead = True
+                break
+        if dead or not intervals:
+            continue
+        intervals = sorted(intervals)
+        arcs.append((i, intervals))
+        full = sum(e - s for s, e in intervals) >= TWO_PI - 1e-12
+        if not full:
+            for s, e in intervals:
+                for a in (s, e):
+                    corners.append(Point(xi + ri * math.cos(a), yi + ri * math.sin(a)))
+    uniq = []
+    for p in corners:
+        if all(dist(p, q) > 1e-9 for q in uniq):
+            uniq.append(p)
+    return arcs, uniq
+
+
+def _interval_intersect(intervals, lo: float, hi: float):
+    """Intersect a set of angular intervals with [lo, hi] (mod 2*pi)."""
+    pieces = ((lo - TWO_PI, hi - TWO_PI), (lo, hi), (lo + TWO_PI, hi + TWO_PI))
+    out = []
+    for a, b in intervals:
+        for lo2, hi2 in pieces:
+            s = lo2 if lo2 > a else a
+            e = hi2 if hi2 < b else b
+            if s < e:
+                out.append((s, e))
+    return out
 
 
 def brute_force_closure_points(points: Sequence[Point], mask: int) -> int:

@@ -9,7 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from planeconvex.bodies import (
-    _disk_floats,
+    _circle_pair_points,
+    _di_boundary,
+    _DiskFloats,
     _disks_feasible_point,
     _least_violation,
     Disk,
@@ -51,10 +53,14 @@ from planeconvex.errors import (
 )
 from planeconvex.fixtures import SQRT3_50, equilateral_triangle
 from planeconvex.geom import DirectedLine, Direction, Point, Tolerance
-from planeconvex.rng import SplitMix64
+from planeconvex.harness import _approx_bodies
+from planeconvex.rng import SplitMix64, trial_seed
+from planeconvex.theorem import rational_disk_enumeration
 from planeconvex.transforms import Translation, homothety
 from tests.conftest import (
+    brute_force_di_boundary,
     brute_force_feasible_point,
+    brute_force_pair_points,
     dense_directions,
     random_disk_intersection,
     rational_point,
@@ -405,18 +411,31 @@ def _bits(p):
     return None if p is None else (float(p.x).hex(), float(p.y).hex())
 
 
+def _boundary_bits(arcs, corners):
+    return (
+        [(i, [(s.hex(), e.hex()) for s, e in ivs]) for i, ivs in arcs],
+        [_bits(p) for p in corners],
+    )
+
+
+def _approx_pool():
+    """The bodies of the benchmark's approx workload: test 05's square and
+    triangle, and the triangles of the trial seeds 1 and 2 of seed 0."""
+    return [u for _, u in _approx_bodies(0)] + [_approx_bodies(trial_seed(0, i))[1][1] for i in (1, 2)]
+
+
 class TestDiskIntersectionInternals:
     @settings(max_examples=300, deadline=None)
     @given(disk_sets())
     def test_feasible_point_matches_full_matrix(self, disks):
-        got = _disks_feasible_point(_disk_floats(disks))
+        got = _disks_feasible_point(_DiskFloats(disks))
         assert _bits(got) == _bits(brute_force_feasible_point(disks))
 
     def test_feasible_point_takes_the_first_of_tied_candidates(self):
         # The circles cross at (3, 4) and (3, -4), both exactly on both
         # circles; the first-listed point wins the tie.
         disks = [Disk(Point(0, 0), 5), Disk(Point(6, 0), 5)]
-        assert _disks_feasible_point(_disk_floats(disks)) == Point(3.0, 4.0)
+        assert _disks_feasible_point(_DiskFloats(disks)) == Point(3.0, 4.0)
         assert brute_force_feasible_point(disks) == Point(3.0, 4.0)
 
     @settings(max_examples=60, deadline=None)
@@ -432,7 +451,7 @@ class TestDiskIntersectionInternals:
             length = F(rng.randint(0, 32), 4)
             center = Point(p.x + rng.choice([1, -1]) * a * length / c, p.y + rng.choice([1, -1]) * b * length / c)
             disks.append(Disk(center, length + F(rng.randint(0, 3), 8)))
-        got = _disks_feasible_point(_disk_floats(disks))
+        got = _disks_feasible_point(_DiskFloats(disks))
         assert got is not None
         assert _bits(got) == _bits(brute_force_feasible_point(disks))
 
@@ -451,6 +470,45 @@ class TestDiskIntersectionInternals:
         assert p.tolist() == P[k].tolist()
 
     @settings(max_examples=300, deadline=None)
+    @given(disk_sets(max_size=20))
+    def test_pair_points_match_scalar_list(self, disks):
+        # Both branches: Python floats up to one block of disks, arrays beyond.
+        got = [tuple(map(float.hex, p)) for p in _circle_pair_points(_DiskFloats(disks)).tolist()]
+        assert got == [tuple(map(float.hex, p)) for p in brute_force_pair_points(disks)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(disk_sets(max_size=40))
+    # Circle 0's arc runs past angle 0 and is split there.
+    @example([Disk(Point(F(0), F(0)), F(1)), Disk(Point(F(2), F(0)), F(3, 2))])
+    # Past one block: nearly equal, nearly concentric circles that the
+    # 1e-12 tangency allowance keeps whole, and a circle inside a disk it
+    # touches, where t rounds just above -1 and leaves a gap of 4e-8.
+    @example([Disk(Point(F(0), F(0)), 1 + F(1, 2**44)), Disk(Point(F(1, 2**46), F(0)), F(1))]
+             + [Disk(Point(F(k, 8), F(0)), F(3)) for k in range(8)])
+    @example([Disk(Point(F(0), F(0)), F(1)), Disk(Point(F(1, 3), F(0)), F(4, 3))]
+             + [Disk(Point(F(k, 8), F(0)), F(3)) for k in range(8)])
+    def test_boundary_matches_reference(self, disks):
+        got = _di_boundary(_DiskFloats(disks))
+        assert _boundary_bits(got.arcs, got.corners) == _boundary_bits(*brute_force_di_boundary(disks))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(9, 200))
+    def test_boundary_and_feasible_point_match_reference_on_enumerated_disks(self, seed, n):
+        # Nonempty sets past one block: the array filter of the boundary, and
+        # the feasible-point search led by the boundary's disks.
+        disks = tuple(rational_disk_enumeration(_approx_bodies(seed)[1][1], n))
+        di = DiskIntersection(disks)
+        b = di.boundary()
+        assert _boundary_bits(b.arcs, b.corners) == _boundary_bits(*brute_force_di_boundary(disks))
+        assert _bits(di._feasible) == _bits(brute_force_feasible_point(disks))
+
+    def test_feasible_point_matches_reference_on_approx_pool(self):
+        for u in _approx_pool():
+            for n in (1, 2, 5, 10, 20, 50, 100, 150, 200):
+                disks = tuple(rational_disk_enumeration(u, n))
+                assert _bits(DiskIntersection(disks)._feasible) == _bits(brute_force_feasible_point(disks)), n
+
+    @settings(max_examples=300, deadline=None)
     @given(disk_sets())
     # A zero-radius disk on the other circle, off the float grid: acos of a t
     # rounded just below 1 once left a sliver arc with corners 1.2e-7 away.
@@ -460,7 +518,8 @@ class TestDiskIntersectionInternals:
             di = DiskIntersection(tuple(disks))
         except EmptyInput:
             assume(False)
-        X, Y, R = di.float_disks()
+        fd = di.float_disks()
+        X, Y, R = fd.x, fd.y, fd.r
 
         def gaps(x, y):
             return [math.hypot(x - cx, y - cy) - r for cx, cy, r in zip(X, Y, R)]

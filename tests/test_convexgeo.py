@@ -298,6 +298,18 @@ class TestAntiExchange:
         ok, _ = verify_anti_exchange(cs)
         assert ok
 
+    @pytest.mark.parametrize("disks, witness", [("AAB", (0, 1, 0)), ("BCAC", (1, 3, 0))], ids=["AAB", "BCAC"])
+    def test_first_violation_is_pinned(self, disks, witness):
+        # Two equal disks close each other, so anti-exchange fails on them;
+        # the first violation (p, q, X) follows the loops over X, p and q.
+        named = {
+            "A": Disk(Point(F(0), F(0)), F(1)),
+            "B": Disk(Point(F(6), F(0)), F(1)),
+            "C": Disk(Point(F(0), F(6)), F(2)),
+        }
+        cs = circles_closure_system([named[k] for k in disks])
+        assert verify_anti_exchange(cs) == (False, witness)
+
     def test_frozen_triangle_fixture_violates(self):
         cs = shapes_closure_system(ANTI_EXCHANGE_SHAPES)
         ok_ax, _ = verify_closure_axioms(cs)

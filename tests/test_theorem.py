@@ -354,6 +354,15 @@ class TestRationalDiskEnumeration:
             row = repr([(str(d.center.x), str(d.center.y), str(d.radius)) for d in disks])
             assert hashlib.sha256(row.encode()).hexdigest()[:16] == pinned[name], name
 
+    def test_first_700_disks_are_pinned(self):
+        # The same past the 625 cells of level 0, on the level-1 grid;
+        # recorded from the per-cell Python grid.
+        pinned = {"square": "5d2f66eff5e23a16", "triangle": "a6ae94b7e0c2f701"}
+        for name, u in _approx_bodies(0):
+            disks = rational_disk_enumeration(u, 700)
+            row = repr([(str(d.center.x), str(d.center.y), str(d.radius)) for d in disks])
+            assert hashlib.sha256(row.encode()).hexdigest()[:16] == pinned[name], name
+
 
 class TestEdgeFreeApprox:
     def test_nesting_chain_on_square(self):
