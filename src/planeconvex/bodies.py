@@ -8,8 +8,16 @@ comparison for curved pairs.  Every support function is an upper envelope of
 pieces c·n + r (a disk, or a point with r = 0), so the extremum of a
 difference of two of them lies at a finite set of critical directions: the
 envelopes' breakpoints and one stationary direction per pair of pieces.
-``abundance`` takes its maximum there in closed form; ``support_margin``
-still searches a direction grid with local refinement.
+``abundance`` takes its maximum there in closed form.  A polygon of at
+least 3 vertices holds a curved body iff no edge normal n_e has the body's
+support value above the edge's offset (``_edge_margin``).  Only
+``support_margin`` still searches a direction grid with local refinement,
+for HullOfUnion containers and ``point_margin``.
+
+Point-in-polygon tests read each polygon's float vertices and edges,
+converted once.  When every coordinate converts to float exactly, a float
+cross product with an a-priori error bound decides each edge, and only an
+edge too close to call re-forms the cross product on the input coordinates.
 
 A DiskIntersection converts its disks to floats once, and its feasible point
 and boundary both read that conversion.  Its boundary clips each circle by
@@ -90,8 +98,13 @@ class Polygon(ConvexBody):
     def is_singleton(self) -> bool:
         return len(self.vertices) == 1
 
-    def vertex_array(self) -> np.ndarray:
-        return np.array([(float(p.x), float(p.y)) for p in self.vertices])
+    def floats(self) -> "_PolygonFloats":
+        """The vertices and edges as floats, converted once."""
+        cached = getattr(self, "_float_cache", None)
+        if cached is None:
+            cached = _PolygonFloats(self.vertices)
+            object.__setattr__(self, "_float_cache", cached)
+        return cached
 
     def edges(self):
         vs = self.vertices
@@ -187,7 +200,12 @@ class Triangle:
         return (self.a0, self.a1, self.a2)
 
     def as_polygon(self) -> Polygon:
-        return Polygon(self.points)
+        """The triangle as a Polygon, built once, so its edge data is too."""
+        cached = getattr(self, "_polygon", None)
+        if cached is None:
+            cached = Polygon(self.points)
+            object.__setattr__(self, "_polygon", cached)
+        return cached
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +259,52 @@ def hull_of_union(u: ConvexBody, extra: Sequence[Point]) -> ConvexBody:
     if poly is not None:
         return convex_hull(list(poly.vertices) + list(extra))
     return HullOfUnion(u, tuple(extra))
+
+
+# ---------------------------------------------------------------------------
+# Polygon internals
+
+
+def _converts_exactly(x: Scalar) -> bool:
+    """True when float(x) is x, a multiple of 2**-252 below 2**200 in size.
+
+    Differences and products of such values neither overflow nor underflow,
+    so a float cross product of them has a relative error bound.
+    """
+    if isinstance(x, float):
+        return x == 0.0 or 2.0**-200 <= abs(x) < 2.0**200
+    if isinstance(x, int):
+        return -(1 << 53) < x < 1 << 53
+    if isinstance(x, Fraction):
+        d = x.denominator
+        return d & (d - 1) == 0 and d <= 1 << 200 and -(1 << 53) < x.numerator < 1 << 53
+    return False
+
+
+class _PolygonFloats:
+    """A polygon's vertices as floats, and per edge a -> b the tuple
+    (a.x, a.y, b.x - a.x, b.y - a.y, max(dist(a, b), 1e-300)).
+
+    ``dyadic`` says whether every vertex coordinate converts exactly.
+    """
+
+    __slots__ = ("edges", "dyadic", "_array")
+
+    def __init__(self, vertices: Sequence[Point]):
+        xy = [(float(p.x), float(p.y)) for p in vertices]
+        self.edges = [
+            (ax, ay, bx - ax, by - ay, max(math.hypot(ax - bx, ay - by), 1e-300))
+            for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1])
+        ]
+        self.dyadic = all(_converts_exactly(p.x) and _converts_exactly(p.y) for p in vertices)
+        self._array = None
+
+    @property
+    def array(self) -> np.ndarray:
+        """The vertices as an (n, 2) array."""
+        if self._array is None:
+            self._array = np.array([e[:2] for e in self.edges])
+        return self._array
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +667,7 @@ def support_value(u: ConvexBody, nx: float, ny: float) -> float:
 def support_grid(u: ConvexBody, dirs: np.ndarray = GRID_DIRS) -> np.ndarray:
     """Vectorized support values over a direction grid."""
     if isinstance(u, Polygon):
-        V = _cached_vertex_array(u)
+        V = u.floats().array
         return (V @ dirs.T).max(axis=0)
     if isinstance(u, Disk):
         c = np.array([float(u.center.x), float(u.center.y)])
@@ -640,20 +704,6 @@ def support_grid(u: ConvexBody, dirs: np.ndarray = GRID_DIRS) -> np.ndarray:
     raise TypeError(f"unknown body {type(u)}")
 
 
-def _cached_vertex_array(u: Polygon) -> np.ndarray:
-    arr = getattr(u, "_varr", None)
-    if arr is None:
-        arr = u.vertex_array()
-        object.__setattr__(u, "_varr", arr)
-    return arr
-
-
-def body_scale(u: ConvexBody) -> float:
-    """Rough magnitude of u's coordinates, for relative slack decisions."""
-    h = support_grid(u, GRID_DIRS[:: GRID_N // 8])
-    return max(1.0, float(np.abs(h).max()))
-
-
 def tie_directions(c1: np.ndarray, r1: np.ndarray, c2: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Unit directions n with c1·n + r1 = c2·n + r2, for each row pair.
 
@@ -688,7 +738,7 @@ def _support_pieces(u: ConvexBody) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     superset: arc endpoints, edge normals, ties of extra points).
     """
     if isinstance(u, Polygon):
-        V = _cached_vertex_array(u)
+        V = u.floats().array
         zero = np.zeros(len(V))
         return V, zero, tie_directions(V, zero, np.roll(V, -1, axis=0), zero)
     if isinstance(u, Disk):
@@ -789,6 +839,24 @@ def contains_point(u: ConvexBody, p: Point, mode: str = "closed", tol: Tolerance
     raise TypeError(f"unknown body {type(u)}")
 
 
+# With every coordinate converting exactly (``_converts_exactly``), the float
+# cross product t1 - t2 of an edge is within (3u + 16u²)(|t1| + |t2|) of the
+# exact one (u = 2**-53; Shewchuk, DCG 1997).  ``_cross_offset``'s, whose
+# products mix exact and rounded factors, is within 5u(|t1| + |t2|) of it
+# after the conversion to float, to first order.  The two divisions by the
+# edge length add 2u(|t1| + |t2|)/length, so the two offsets differ by at
+# most about 10u(|t1| + |t2|)/length; the rest of 16u covers the rounding of
+# the filter's own tests.  The float offset decides an edge when the verdict
+# is the same at both ends of that interval.
+_OFFSET_ERR = 16 * 2.0**-53
+
+
+def _cross_offset(a: Point, b: Point, p: Point, length: float) -> float:
+    """Signed offset of p from the edge a -> b (left positive), from the cross
+    product on the input coordinates, exact where they are exact."""
+    return float(cross(b - a, p - a)) / length
+
+
 def _polygon_contains(u: Polygon, p: Point, mode: str, eps: float) -> bool:
     vs = u.vertices
     if len(vs) == 1:
@@ -807,20 +875,30 @@ def _polygon_contains(u: Polygon, p: Point, mode: str, eps: float) -> bool:
             t = dot(p - a, b - a)
             return 0 <= t <= dot(b - a, b - a)
         return seg_point_dist(a, b, p) <= eps
-    exact = eps == 0 and p.exact and all(v.exact for v in vs)
-    for a, b in zip(vs, vs[1:] + (vs[0],)):
-        c = cross(b - a, p - a)
-        if exact:
-            if mode == "closed" and c < 0:
+    strict = mode == "strict"
+    if eps == 0 and p.exact and all(v.exact for v in vs):
+        for a, b in zip(vs, vs[1:] + (vs[0],)):
+            c = cross(b - a, p - a)
+            if c < 0 or strict and c == 0:
                 return False
-            if mode == "strict" and c <= 0:
+        return True
+    pf = u.floats()
+    filtered = pf.dyadic and _converts_exactly(p.x) and _converts_exactly(p.y)
+    if filtered:
+        px, py = float(p.x), float(p.y)
+    for i, (ax, ay, ex, ey, length) in enumerate(pf.edges):
+        if filtered:
+            t1 = ex * (py - ay)
+            t2 = ey * (px - ax)
+            off = (t1 - t2) / length
+            err = _OFFSET_ERR * (abs(t1) + abs(t2)) / length
+            if (off - err > eps) if strict else (off - err >= -eps):
+                continue
+            if (off + err <= eps) if strict else (off + err < -eps):
                 return False
-        else:
-            off = float(c) / max(dist(a, b), 1e-300)
-            if mode == "closed" and off < -eps:
-                return False
-            if mode == "strict" and off <= eps:
-                return False
+        off = _cross_offset(vs[i], vs[(i + 1) % len(vs)], p, length)
+        if (off <= eps) if strict else (off < -eps):
+            return False
     return True
 
 
@@ -834,6 +912,8 @@ def includes(a: ConvexBody, b: ConvexBody, tol: Tolerance = DEFAULT_TOL) -> bool
     bp = polygonize(b)
     if bp is not None:
         return all(contains_point(a, v, "closed", tol) for v in bp.vertices)
+    if isinstance(a, Polygon) and len(a.vertices) >= 3 and isinstance(b, (Disk, DiskIntersection)):
+        return _edge_margin(a, b) >= -eps
     if isinstance(b, Disk):
         return _includes_disk(a, b, eps)
     if isinstance(b, DiskIntersection):
@@ -847,6 +927,24 @@ def includes(a: ConvexBody, b: ConvexBody, tol: Tolerance = DEFAULT_TOL) -> bool
     raise TypeError(f"unknown body {type(b)}")
 
 
+def _edge_margin(a: Polygon, b: ConvexBody) -> float:
+    """min over the edges e of a of <a_e, n_e> - h_b(n_e), with a_e the
+    edge's start vertex and n_e its outward unit normal.
+
+    ``a`` is a CCW polygon of at least 3 vertices.  The value is >= 0 iff b
+    is included in a, and when it is, it is the largest t with b + tB in a,
+    the true support margin.  Edges of zero length have no normal and are
+    skipped; a polygon with no other edge is one point, for the grid search.
+    """
+    m = math.inf
+    for ax, ay, ex, ey, length in a.floats().edges:
+        if ex == 0.0 and ey == 0.0:
+            continue
+        nx, ny = ey / length, -ex / length
+        m = min(m, ax * nx + ay * ny - support_value(b, nx, ny))
+    return m if m < math.inf else support_margin(a, b)
+
+
 def _includes_disk(a: ConvexBody, b: Disk, eps: float) -> bool:
     if isinstance(a, Disk):
         if a.center.exact and b.center.exact and is_exact(a.radius) and is_exact(b.radius) and eps == 0:
@@ -857,16 +955,8 @@ def _includes_disk(a: ConvexBody, b: Disk, eps: float) -> bool:
         return dist(a.center, b.center) <= float(a.radius) - float(b.radius) + eps
     if isinstance(a, DiskIntersection):
         return all(_includes_disk(d, b, eps) for d in a.disks)
-    if isinstance(a, Polygon):
-        vs = a.vertices
-        if len(vs) <= 2:
-            return float(b.radius) <= eps and contains_point(a, b.center, "closed", Tolerance(max(eps, 0.0)))
-        r = float(b.radius)
-        for p, q in zip(vs, vs[1:] + (vs[0],)):
-            off = float(cross(q - p, b.center - p)) / max(dist(p, q), 1e-300)
-            if off < r - eps:
-                return False
-        return True
+    if isinstance(a, Polygon):  # a point or a segment
+        return float(b.radius) <= eps and contains_point(a, b.center, "closed", Tolerance(max(eps, 0.0)))
     if isinstance(a, HullOfUnion):
         return support_margin(a, b) >= -eps
     raise TypeError(f"unknown body {type(a)}")

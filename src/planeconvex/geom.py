@@ -20,10 +20,6 @@ def is_exact(x: Scalar) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-def as_float(x: Scalar) -> float:
-    return float(x)
-
-
 class Point(NamedTuple):
     x: Scalar
     y: Scalar
@@ -92,10 +88,6 @@ def direction(dx: Scalar, dy: Scalar) -> Direction:
     if dx == 0 and dy == 0:
         raise ValueError("zero direction")
     return Direction(dx, dy)
-
-
-def direction_of_angle(theta: float) -> Direction:
-    return Direction(math.cos(theta), math.sin(theta))
 
 
 @dataclass(frozen=True)

@@ -121,12 +121,13 @@ def _rational(rng: SplitMix64, lo: float, hi: float, den: int = 16) -> Fraction:
 
 
 def _random_triangle(rng: SplitMix64) -> Triangle:
+    """Vertices k/16 with k in [-96, 96], drawn x0, y0, x1, y1, x2, y2, until
+    the triangle has area at least 4."""
     for _ in range(100):
-        pts = [Point(_rational(rng, -6, 6), _rational(rng, -6, 6)) for _ in range(3)]
-        d = (pts[1].x - pts[0].x) * (pts[2].y - pts[0].y) - (pts[1].y - pts[0].y) * (
-            pts[2].x - pts[0].x
-        )
-        if abs(d) >= 8:  # area at least 4
+        x0, y0, x1, y1, x2, y2 = (rng.randint(-96, 96) for _ in range(6))
+        d = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)  # 256 times twice the area
+        if abs(d) >= 8 * 256:  # area at least 4
+            pts = [Point(Fraction(x, 16), Fraction(y, 16)) for x, y in ((x0, y0), (x1, y1), (x2, y2))]
             if d < 0:
                 pts[1], pts[2] = pts[2], pts[1]
             return Triangle(*pts)
@@ -183,6 +184,7 @@ def generate_instance(kind: str, seed: int) -> Dict[str, Any]:
     rng = SplitMix64(seed)
     if kind == "theorem-sweep":
         tri = _random_triangle(rng)
+        tri_poly = tri.as_polygon()
         inc, r_in = _incircle(tri)
         for _ in range(100):
             off = 0.3 * r_in
@@ -205,7 +207,6 @@ def generate_instance(kind: str, seed: int) -> Dict[str, Any]:
                 px = (float(c2.x) - lam * float(c.x)) / (1 - lam)
                 py = (float(c2.y) - lam * float(c.y)) / (1 - lam)
                 m = homothety(Point(px, py), lam)
-            tri_poly = tri.as_polygon()
             image = transform_body(m, body)
             if includes(tri_poly, body, DEFAULT_TOL) and includes(tri_poly, image, DEFAULT_TOL):
                 return {

@@ -109,11 +109,3 @@ def dumps(obj: Dict[str, Any]) -> str:
 def loads(s: str) -> Dict[str, Any]:
     return json.loads(s)
 
-
-def lattice_to_adjacency(lattice) -> str:
-    """Cover-relation adjacency list, one 'element: covers...' line each."""
-    lines = []
-    for i, payload in enumerate(lattice.elements):
-        ups = lattice.covers_of(i)
-        lines.append(f"{i}[{payload}]: " + " ".join(str(u) for u in ups))
-    return "\n".join(lines) + "\n"

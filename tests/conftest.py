@@ -8,7 +8,7 @@ import numpy as np
 
 from planeconvex.bodies import Disk, DiskIntersection, contains_point, convex_hull
 from planeconvex.errors import EmptyInput
-from planeconvex.geom import DEFAULT_TOL, EXACT_TOL, Point, dist
+from planeconvex.geom import DEFAULT_TOL, EXACT_TOL, Point, cross, dist, dot, seg_point_dist
 from planeconvex.rng import SplitMix64
 
 TWO_PI = 2.0 * math.pi
@@ -167,6 +167,45 @@ def brute_force_closure_points(points: Sequence[Point], mask: int) -> int:
         if mask >> i & 1 or contains_point(hull, p, "closed", tol):
             out |= 1 << i
     return out
+
+
+def brute_force_polygon_contains(u, p: Point, mode: str, eps: float) -> bool:
+    """Reference for ``bodies._polygon_contains``: with eps == 0 and exact
+    input, the exact sign of each edge's cross product; otherwise that cross
+    product on the input coordinates, converted to float and divided by the
+    edge length, against -eps (closed) or eps (strict)."""
+    vs = u.vertices
+    if len(vs) == 1:
+        if mode == "strict":
+            return False
+        if eps == 0 and p.exact and vs[0].exact:
+            return p.x == vs[0].x and p.y == vs[0].y
+        return dist(p, vs[0]) <= eps
+    if len(vs) == 2:
+        if mode == "strict":
+            return False
+        a, b = vs
+        if eps == 0 and p.exact and a.exact and b.exact:
+            if cross(b - a, p - a) != 0:
+                return False
+            t = dot(p - a, b - a)
+            return 0 <= t <= dot(b - a, b - a)
+        return seg_point_dist(a, b, p) <= eps
+    exact = eps == 0 and p.exact and all(v.exact for v in vs)
+    for a, b in zip(vs, vs[1:] + (vs[0],)):
+        c = cross(b - a, p - a)
+        if exact:
+            if mode == "closed" and c < 0:
+                return False
+            if mode == "strict" and c <= 0:
+                return False
+        else:
+            off = float(c) / max(dist(a, b), 1e-300)
+            if mode == "closed" and off < -eps:
+                return False
+            if mode == "strict" and off <= eps:
+                return False
+    return True
 
 
 def _circle_circle_points(d1: Disk, d2: Disk):

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from planeconvex import bodies, serial
 from planeconvex.bodies import (
     _circle_pair_points,
+    _converts_exactly,
     _di_boundary,
     _DiskFloats,
     _disks_feasible_point,
+    _edge_margin,
     _least_violation,
     Disk,
     DiskIntersection,
@@ -37,11 +40,13 @@ from planeconvex.bodies import (
     polygonize,
     separating_support_line,
     support_grid,
+    support_margin,
     support_point,
     support_value,
     supporting_line,
     tangents_from_external_point,
     transform_body,
+    unit_directions,
 )
 from planeconvex.errors import (
     BadRadius,
@@ -52,8 +57,8 @@ from planeconvex.errors import (
     PreconditionViolated,
 )
 from planeconvex.fixtures import SQRT3_50, equilateral_triangle
-from planeconvex.geom import DirectedLine, Direction, Point, Tolerance
-from planeconvex.harness import _approx_bodies
+from planeconvex.geom import DirectedLine, Direction, Point, Tolerance, cross, dist
+from planeconvex.harness import _approx_bodies, _incircle, _random_triangle, generate_instance
 from planeconvex.rng import SplitMix64, trial_seed
 from planeconvex.theorem import rational_disk_enumeration
 from planeconvex.transforms import Translation, homothety
@@ -61,6 +66,7 @@ from tests.conftest import (
     brute_force_di_boundary,
     brute_force_feasible_point,
     brute_force_pair_points,
+    brute_force_polygon_contains,
     dense_directions,
     random_disk_intersection,
     rational_point,
@@ -169,6 +175,180 @@ class TestContainsPoint:
     def test_lens_interior(self):
         di = DiskIntersection((Disk(Point(0, 0), 2), Disk(Point(2, 0), 2)))
         assert contains_point(di, Point(1, 0), "strict")
+
+
+# Polygon coordinates of every kind the filtered containment test meets:
+# ints, the generator's dyadic Fractions and floats, which convert to float
+# exactly, and non-dyadic Fractions, which do not.
+DYADIC_COORD = st.one_of(
+    st.integers(-12, 12),
+    st.builds(F, st.integers(-3072, 3072), st.sampled_from([16, 256])),
+    st.floats(-12, 12, allow_nan=False, allow_subnormal=False),
+)
+MIXED_COORD = st.one_of(DYADIC_COORD, st.builds(F, st.integers(-1200, 1200), st.sampled_from([3, 97])))
+
+
+def _reference_offset(a: Point, b: Point, p: Point) -> float:
+    """The offset ``brute_force_polygon_contains`` compares against eps."""
+    return float(cross(b - a, p - a)) / max(dist(a, b), 1e-300)
+
+
+def _threshold_points(a: Point, b: Point, thr: float, exact: bool):
+    """Points where the reference offset from edge a -> b crosses thr: from
+    near the edge's midpoint at offset thr, a walk one ulp at a time along
+    the coordinate that moves the offset most, to the first pair of
+    neighbours on either side of thr, plus one more ulp each way.  The
+    coordinates are floats, or with ``exact`` the same values as Fractions,
+    whose cross product the reference forms exactly."""
+    ax, ay, bx, by = float(a.x), float(a.y), float(b.x), float(b.y)
+    length = math.hypot(bx - ax, by - ay)
+    if length == 0.0:
+        return []
+    nl = (-(by - ay) / length, (bx - ax) / length)
+    p = [(ax + bx) / 2 + thr * nl[0], (ay + by) / 2 + thr * nl[1]]
+    k = 0 if abs(nl[0]) > abs(nl[1]) else 1
+
+    def at(q):
+        return Point(F(q[0]), F(q[1])) if exact else Point(q[0], q[1])
+
+    below = _reference_offset(a, b, at(p)) < thr
+    toward = math.inf if (nl[k] > 0) == below else -math.inf
+    for _ in range(200):
+        q = list(p)
+        q[k] = math.nextafter(p[k], toward)
+        if (_reference_offset(a, b, at(q)) < thr) != below:
+            before, after = list(p), list(q)
+            before[k] = math.nextafter(p[k], -toward)
+            after[k] = math.nextafter(q[k], toward)
+            return [at(before), at(p), at(q), at(after)]
+        p = q
+    return [at(p)]
+
+
+@st.composite
+def polygons_and_points(draw):
+    """A convex polygon of 3-5 drawn vertices, optionally shifted by an int
+    near 2**52 (or just below 2**53, where ints stop converting exactly),
+    and test points: free ones, points on an edge, and points around
+    offsets +-1e-9 and +-1e-6 from an edge."""
+    base = draw(st.sampled_from([0, 0, 0, 0, 2**52, -(2**52), 2**53 - 8]))
+    coord = draw(st.sampled_from([DYADIC_COORD, DYADIC_COORD, MIXED_COORD])).map(lambda c: base + c)
+    poly = convex_hull([Point(draw(coord), draw(coord)) for _ in range(draw(st.integers(3, 5)))])
+    assume(len(poly.vertices) >= 3)
+    vs = poly.vertices
+    pts = [Point(draw(coord), draw(coord)) for _ in range(3)]
+    i = draw(st.integers(0, len(vs) - 1))
+    a, b = vs[i], vs[(i + 1) % len(vs)]
+    pts += [a + (b - a).scaled(F(k, 4)) for k in range(5)]
+    for thr in (-1e-9, 1e-9, -1e-6, 1e-6):
+        pts += _threshold_points(a, b, thr, draw(st.booleans()))
+    return poly, pts
+
+
+class TestFilteredPolygonContains:
+    @settings(max_examples=200, deadline=None)
+    @given(polygons_and_points())
+    def test_matches_reference(self, case):
+        poly, pts = case
+        for p in pts:
+            for mode in ("closed", "strict"):
+                for eps in (1e-9, 1e-6):
+                    got = contains_point(poly, p, mode, Tolerance(eps))
+                    assert got == brute_force_polygon_contains(poly, p, mode, eps), (p, mode, eps)
+
+    def test_offset_at_minus_eps_takes_the_fallback(self, monkeypatch):
+        """(1, -1e-9) lies exactly 1e-9 outside the edge y = 0: the float
+        offset cannot decide it, so the Fraction path must."""
+        calls = []
+        exact_offset = bodies._cross_offset
+
+        def counted(*args):
+            calls.append(args)
+            return exact_offset(*args)
+
+        monkeypatch.setattr(bodies, "_cross_offset", counted)
+        tri = Polygon((Point(F(0), F(0)), Point(F(4), F(0)), Point(F(0), F(4))))
+        tol = Tolerance(1e-9)
+        y = -1e-9
+        assert contains_point(tri, Point(F(1), y), "closed", tol)
+        assert len(calls) == 1
+        assert not contains_point(tri, Point(F(1), math.nextafter(y, -1.0)), "closed", tol)
+        assert contains_point(tri, Point(F(1), math.nextafter(y, 1.0)), "closed", tol)
+        assert not contains_point(tri, Point(F(1), -y), "strict", tol)
+        assert contains_point(tri, Point(F(1), math.nextafter(-y, 1.0)), "strict", tol)
+        calls.clear()
+        assert contains_point(tri, Point(F(1, 2), F(1, 2)), "closed", tol)
+        assert calls == []
+
+    def test_exact_conversion_rule(self):
+        assert all(_converts_exactly(x) for x in (0, -(2**53) + 1, F(-3, 256), F(2**53 - 1, 2**200), 0.1, -0.0))
+        assert not any(_converts_exactly(x) for x in (2**53, F(1, 3), F(2**53 + 1, 16), F(1, 2**201), 1e-300, 1e300))
+
+
+class TestEdgeMargin:
+    @staticmethod
+    def triangle_and_body(rng):
+        """A generator triangle, and a disk or a disk intersection near its
+        incircle that it may or may not hold."""
+        tri = _random_triangle(rng)
+        inc, r_in = _incircle(tri)
+        cx = inc.x + (rng.random() - 0.5) * r_in
+        cy = inc.y + (rng.random() - 0.5) * r_in
+        size = r_in * (0.3 + 0.9 * rng.random())
+        if rng.randint(0, 1):
+            return tri.as_polygon(), Disk(Point(cx, cy), size)
+        disks = tuple(
+            # each disk holds (cx, cy), so the intersection is not empty
+            Disk(Point(cx + (rng.random() - 0.5) * size, cy + (rng.random() - 0.5) * size), size * (0.8 + 0.4 * rng.random()))
+            for _ in range(rng.randint(2, 3))
+        )
+        return tri.as_polygon(), DiskIntersection(disks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_matches_dense_directions(self, seed):
+        tri, body = self.triangle_and_body(SplitMix64(seed))
+        V = tri.floats().array
+        # The triangle's support function has its kinks at the edge normals;
+        # elsewhere the difference is smooth and the dense grid is within
+        # about 4e-7 of its minimum.
+        normals = unit_directions(np.roll(V, -1, axis=0) - V) @ np.array([[0.0, -1.0], [1.0, 0.0]])
+        dirs = np.concatenate([dense_directions()[0], normals])
+        ref = float((support_grid(tri, dirs) - support_grid(body, dirs)).min())
+        m = _edge_margin(tri, body)
+        if ref >= 0:
+            assert abs(m - ref) <= 1e-6
+        else:  # not included: the edge rule is looser, but still negative
+            assert ref - 1e-6 <= m < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from([1e-9, 1e-6]))
+    def test_verdict_matches_grid_margin(self, seed, eps):
+        tri, body = self.triangle_and_body(SplitMix64(seed))
+        grid = support_margin(tri, body)
+        assume(abs(grid) > 0.02)
+        assert includes(tri, body, Tolerance(eps)) == (grid >= -eps)
+
+    def test_sweep_trial_694(self, monkeypatch):
+        """The image body of trial 694 of test 01's sweep lies in the triangle
+        with margin 0.86488, where the grid search read 0.87902; neither
+        precondition check needs the grid."""
+        inst = generate_instance("theorem-sweep", trial_seed(20260823, 694))
+        tri = serial.triangle_from_json(inst["triangle"]).as_polygon()
+        u0 = serial.body_from_json(inst["body0"])
+        u1 = transform_body(serial.map_from_json(inst["map"]), u0)
+        assert isinstance(u1, DiskIntersection)
+        assert _edge_margin(tri, u1) == pytest.approx(0.8648824, abs=1e-6)
+
+        def no_grid(*args):
+            raise AssertionError("support_margin called")
+
+        monkeypatch.setattr(bodies, "support_margin", no_grid)
+        assert includes(tri, u0) and includes(tri, u1)
+
+    def test_polygon_of_one_repeated_point(self):
+        p = Point(F(1), F(1))
+        assert not includes(Polygon((p, p, p)), Disk(p, F(1)))
 
 
 class TestIncludes:

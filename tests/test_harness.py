@@ -1,6 +1,7 @@
 """Harness, serialization, RNG, CLI, and SVG rendering."""
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -130,6 +131,13 @@ class TestCsvReport:
             "trial", "kind", "seed", "verdict", "witness_j", "witness_k", "xi_max", "eps_used",
         ]
         assert len(rows) == 11
+
+    def test_theorem_sweep_csv_is_pinned(self):
+        """sha1 of seed 101's 300-trial CSV: any change in instance generation
+        or in a verdict or witness changes it."""
+        sc = Scenario("theorem-sweep", {"trials": 300}, seed=101)
+        csv_text = report_to_csv(run_scenario(sc), with_timing=False)
+        assert hashlib.sha1(csv_text.encode()).hexdigest() == "6a2f63c4b166bac56eee62caa07e9e26ab4107d8"
 
     def test_timing_column_present_by_default(self):
         sc = Scenario("theorem-sweep", {"trials": 2}, seed=21)
