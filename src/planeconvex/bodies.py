@@ -14,10 +14,16 @@ support value above the edge's offset (``_edge_margin``).  Only
 ``support_margin`` still searches a direction grid with local refinement,
 for HullOfUnion containers and ``point_margin``.
 
-Point-in-polygon tests read each polygon's float vertices and edges,
-converted once.  When every coordinate converts to float exactly, a float
-cross product with an a-priori error bound decides each edge, and only an
-edge too close to call re-forms the cross product on the input coordinates.
+Exact predicates stay exact, and are decided in float wherever a static
+error bound allows.  Point-in-polygon tests read each polygon's float
+vertices and edges, converted once; a polygon inside a polygon reads its own
+vertex floats once for all of them.  When every coordinate converts to float
+exactly, a float cross product with an a-priori error bound decides each
+edge, and only an edge too close to call re-forms the cross product on the
+input coordinates.  ``convex_hull`` likewise sorts such input on its floats
+and decides each turn with ``geom.orient_filter``, reaching the exact
+``orient2d`` only for a turn too close to call; the hull keeps those floats
+as its ``floats()``.
 
 A DiskIntersection converts its disks to floats once, and its feasible point
 and boundary both read that conversion.  Its boundary clips each circle by
@@ -57,12 +63,14 @@ from .geom import (
     Point,
     Scalar,
     Tolerance,
+    _converts_exactly,
     cross,
     dist,
     dist2,
     dot,
     is_exact,
     orient2d,
+    orient_filter,
     seg_point_dist,
 )
 from .transforms import PlaneMap
@@ -89,6 +97,7 @@ class Polygon(ConvexBody):
     """CCW vertex list; 1 vertex = singleton, 2 vertices = segment."""
 
     vertices: Tuple[Point, ...]
+    _floats: Optional["_PolygonFloats"] = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if not self.vertices:
@@ -100,11 +109,12 @@ class Polygon(ConvexBody):
 
     def floats(self) -> "_PolygonFloats":
         """The vertices and edges as floats, converted once."""
-        cached = getattr(self, "_float_cache", None)
-        if cached is None:
-            cached = _PolygonFloats(self.vertices)
-            object.__setattr__(self, "_float_cache", cached)
-        return cached
+        if self._floats is None:
+            vs = self.vertices
+            xy = [(float(p.x), float(p.y)) for p in vs]
+            dyadic = all(_converts_exactly(p.x) and _converts_exactly(p.y) for p in vs)
+            object.__setattr__(self, "_floats", _PolygonFloats(xy, dyadic))
+        return self._floats
 
     def edges(self):
         vs = self.vertices
@@ -213,30 +223,45 @@ class Triangle:
 
 
 def convex_hull(points: Sequence[Point]) -> Polygon:
-    """Andrew monotone chain with exact orientation tests."""
+    """Andrew monotone chain with exact orientation tests.
+
+    When every coordinate converts to float exactly, the points are sorted
+    and deduplicated on their floats, which order and equate them as their
+    values do, each turn is decided by ``orient_filter`` and only a turn too
+    close to call by ``orient2d``, and the hull's ``floats()`` are the same
+    floats.
+    """
     if not points:
         raise EmptyInput("convex_hull of empty set")
-    pts = sorted(set((p.x, p.y) for p in points))
-    pts = [Point(x, y) for x, y in pts]
-    if len(pts) == 1:
-        return Polygon((pts[0],))
-    if len(pts) == 2:
-        return Polygon(tuple(pts))
+    dyadic = all(_converts_exactly(p.x) and _converts_exactly(p.y) for p in points)
+    first = {}
+    for p in points:  # keep the first of equal points
+        first.setdefault((float(p.x), float(p.y)) if dyadic else (p.x, p.y), p)
+    keys = sorted(first)
+    pts = [Point(first[k].x, first[k].y) for k in keys]
 
-    def half(points_iter):
-        out: List[Point] = []
-        for p in points_iter:
-            while len(out) >= 2 and orient2d(out[-2], out[-1], p) <= 0:
+    def half(order):
+        out: List[int] = []
+        for i in order:
+            while len(out) >= 2:
+                a, b = out[-2], out[-1]
+                s = orient_filter(*keys[a], *keys[b], *keys[i]) if dyadic else None
+                if s is None:
+                    s = orient2d(pts[a], pts[b], pts[i])
+                if s > 0:
+                    break
                 out.pop()
-            out.append(p)
+            out.append(i)
         return out
 
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:  # collinear input
-        return Polygon((pts[0], pts[-1]))
-    return Polygon(tuple(hull))
+    n = len(pts)
+    hull = list(range(n))
+    if n > 2:
+        hull = half(hull)[:-1] + half(reversed(hull))[:-1]
+        if len(hull) < 3:  # collinear input
+            hull = [0, n - 1]
+    floats = _PolygonFloats([keys[i] for i in hull], True) if dyadic else None
+    return Polygon(tuple(pts[i] for i in hull), floats)
 
 
 def polygonize(u: ConvexBody) -> Optional[Polygon]:
@@ -265,22 +290,6 @@ def hull_of_union(u: ConvexBody, extra: Sequence[Point]) -> ConvexBody:
 # Polygon internals
 
 
-def _converts_exactly(x: Scalar) -> bool:
-    """True when float(x) is x, a multiple of 2**-252 below 2**200 in size.
-
-    Differences and products of such values neither overflow nor underflow,
-    so a float cross product of them has a relative error bound.
-    """
-    if isinstance(x, float):
-        return x == 0.0 or 2.0**-200 <= abs(x) < 2.0**200
-    if isinstance(x, int):
-        return -(1 << 53) < x < 1 << 53
-    if isinstance(x, Fraction):
-        d = x.denominator
-        return d & (d - 1) == 0 and d <= 1 << 200 and -(1 << 53) < x.numerator < 1 << 53
-    return False
-
-
 class _PolygonFloats:
     """A polygon's vertices as floats, and per edge a -> b the tuple
     (a.x, a.y, b.x - a.x, b.y - a.y, max(dist(a, b), 1e-300)).
@@ -290,13 +299,12 @@ class _PolygonFloats:
 
     __slots__ = ("edges", "dyadic", "_array")
 
-    def __init__(self, vertices: Sequence[Point]):
-        xy = [(float(p.x), float(p.y)) for p in vertices]
+    def __init__(self, xy: List[Tuple[float, float]], dyadic: bool):
         self.edges = [
             (ax, ay, bx - ax, by - ay, max(math.hypot(ax - bx, ay - by), 1e-300))
             for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1])
         ]
-        self.dyadic = all(_converts_exactly(p.x) and _converts_exactly(p.y) for p in vertices)
+        self.dyadic = dyadic
         self._array = None
 
     @property
@@ -785,16 +793,11 @@ def _golden_min(f, lo: float, hi: float, iters: int = 48) -> float:
     return min(fc, fd)
 
 
-def support_margin(a: ConvexBody, b: ConvexBody, refine: bool = True) -> float:
+def support_margin(a: ConvexBody, b: ConvexBody) -> float:
     """min over directions of h_a - h_b; >= 0 iff b is included in a."""
-    ha = support_grid(a)
-    hb = support_grid(b)
-    m = ha - hb
+    m = support_grid(a) - support_grid(b)
     k = int(np.argmin(m))
     grid_min = float(m[k])
-    scale = max(1.0, float(np.abs(ha).max()))
-    if not refine and grid_min > 0.02 * scale:
-        return grid_min
     lo = _GRID_ANGLES[k] - TWO_PI / GRID_N
     hi = _GRID_ANGLES[k] + TWO_PI / GRID_N
 
@@ -882,10 +885,19 @@ def _polygon_contains(u: Polygon, p: Point, mode: str, eps: float) -> bool:
             if c < 0 or strict and c == 0:
                 return False
         return True
+    exact_floats = _converts_exactly(p.x) and _converts_exactly(p.y)
+    return _edges_hold(u, p, (float(p.x), float(p.y)) if exact_floats else None, strict, eps)
+
+
+def _edges_hold(u: Polygon, p: Point, pxy: Optional[Tuple[float, float]], strict: bool, eps: float) -> bool:
+    """Whether p is within eps of every edge of u (a polygon of at least 3
+    vertices), or more than eps inside with ``strict``.  ``pxy`` is p as
+    floats when both coordinates convert exactly, else None."""
+    vs = u.vertices
     pf = u.floats()
-    filtered = pf.dyadic and _converts_exactly(p.x) and _converts_exactly(p.y)
+    filtered = pf.dyadic and pxy is not None
     if filtered:
-        px, py = float(p.x), float(p.y)
+        px, py = pxy
     for i, (ax, ay, ex, ey, length) in enumerate(pf.edges):
         if filtered:
             t1 = ex * (py - ay)
@@ -911,6 +923,11 @@ def includes(a: ConvexBody, b: ConvexBody, tol: Tolerance = DEFAULT_TOL) -> bool
     eps = tol.eps
     bp = polygonize(b)
     if bp is not None:
+        if isinstance(a, Polygon) and len(a.vertices) >= 3 and eps > 0:
+            bf = bp.floats()
+            return all(
+                _edges_hold(a, v, e[:2] if bf.dyadic else None, False, eps) for v, e in zip(bp.vertices, bf.edges)
+            )
         return all(contains_point(a, v, "closed", tol) for v in bp.vertices)
     if isinstance(a, Polygon) and len(a.vertices) >= 3 and isinstance(b, (Disk, DiskIntersection)):
         return _edge_margin(a, b) >= -eps

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +39,6 @@ from .geom import EXACT_TOL, DEFAULT_TOL, Point, Tolerance
 
 MAX_GROUND = 20
 MAX_LATTICE_GROUND = 16
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -390,69 +388,3 @@ def m3_lattice() -> FiniteLattice:
         leq[0, i] = True
         leq[i, 4] = True
     return FiniteLattice(["0", "a", "b", "c", "1"], leq)
-
-
-# ---------------------------------------------------------------------------
-# Triangle non-example search
-
-
-def _equilateral(v: Point, size: float, angle: float) -> Polygon:
-    """Equilateral triangle with one vertex at v, exact rational coordinates
-    (floats are dyadic rationals, so the hull predicates stay exact)."""
-
-    def frac(x: float) -> Fraction:
-        return Fraction(x).limit_denominator(1 << 20)
-
-    pts = [v]
-    for k in (0, 1):
-        a = angle + k * math.pi / 3
-        pts.append(
-            Point(frac(float(v.x) + size * math.cos(a)), frac(float(v.y) + size * math.sin(a)))
-        )
-    return convex_hull(pts)
-
-
-def search_triangle_anti_exchange(
-    seed: int = 0, max_trials: int = 20000
-) -> Optional[Tuple[List[Polygon], Tuple[int, int, int]]]:
-    """Randomized search for a triangle configuration violating anti-exchange.
-
-    Configurations: a few random equilateral triangles, plus a pair pivoting
-    about a shared vertex (support-function analysis shows a shared protruding
-    vertex is necessary for a violation, so the generator biases toward it).
-    Returns (shapes, (p, q, X)) for the first verified violation.
-    """
-    from .rng import SplitMix64
-
-    rng = SplitMix64(seed)
-    for _ in range(max_trials):
-        base_size = 2.0 + 6.0 * rng.random()
-        base = _equilateral(
-            Point(Fraction(0), Fraction(0)), base_size, rng.random() * TWO_PI
-        )
-        # shared pivot vertex outside the base triangle
-        pivot = Point(
-            Fraction(round((rng.random() * 16 - 8) * 64), 64),
-            Fraction(round((rng.random() * 16 - 8) * 64), 64),
-        )
-        shapes = [base]
-        for _k in range(2):
-            shapes.append(
-                _equilateral(pivot, 0.5 + 3.0 * rng.random(), rng.random() * TWO_PI)
-            )
-        if rng.random() < 0.5:
-            shapes.append(
-                _equilateral(
-                    Point(
-                        Fraction(round((rng.random() * 16 - 8) * 64), 64),
-                        Fraction(round((rng.random() * 16 - 8) * 64), 64),
-                    ),
-                    0.5 + 3.0 * rng.random(),
-                    rng.random() * TWO_PI,
-                )
-            )
-        cs = shapes_closure_system(tuple(shapes))
-        ok, witness = verify_anti_exchange(cs)
-        if not ok:
-            return shapes, witness
-    return None

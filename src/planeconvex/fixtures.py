@@ -57,12 +57,13 @@ def plus_sign_rectangles():
 # ---------------------------------------------------------------------------
 # Committed anti-exchange violation for triangle shapes.
 #
-# First hit of search_triangle_anti_exchange(seed=0), frozen verbatim: two
-# near-equilateral triangles share the protruding vertex PIVOT outside the
-# base triangle, so each lies in the hull of the base together with the
-# other, while neither is in the closure of the base alone.  (A shared
-# protruding vertex is forced: mutual coverage makes the two support
-# functions agree on the whole protrusion cone.)
+# First hit of the randomized search convexgeo.search_triangle_anti_exchange
+# (seed=0), frozen verbatim; that search is no longer in the package and can
+# be read at commit 630c38d.  Two near-equilateral triangles share the
+# protruding vertex PIVOT outside the base triangle, so each lies in the
+# hull of the base together with the other, while neither is in the closure
+# of the base alone.  (A shared protruding vertex is forced: mutual coverage
+# makes the two support functions agree on the whole protrusion cone.)
 
 ANTI_EXCHANGE_PIVOT = Point(Fraction(191, 64), Fraction(33, 8))
 

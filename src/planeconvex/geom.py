@@ -4,6 +4,12 @@ Coordinates are either exact (``int`` / ``fractions.Fraction``) or floating.
 Predicates stay exact as long as every input is exact; anything involving a
 square root (distances, disk boundaries) lives on the floating track and is
 compared against a :class:`Tolerance`.
+
+Exact predicates are decided in float wherever a static error bound allows:
+when every coordinate converts to float exactly (``_converts_exactly``),
+``orient_filter`` returns the orientation's sign or, too close to call, None,
+and only then does ``orient2d`` form the determinant on the input
+coordinates.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 Scalar = Union[int, Fraction, float]
 
@@ -133,8 +139,47 @@ class DirectedLine(NamedTuple):
         return cross(self.d, p - self.anchor)
 
 
+def _converts_exactly(x: Scalar) -> bool:
+    """True when float(x) is x, a multiple of 2**-252 below 2**200 in size.
+
+    Differences and products of such values neither overflow nor underflow,
+    so a float cross product of them has a relative error bound.
+    """
+    if isinstance(x, float):
+        return x == 0.0 or 2.0**-200 <= abs(x) < 2.0**200
+    if isinstance(x, int):
+        return -(1 << 53) < x < 1 << 53
+    if isinstance(x, Fraction):
+        d = x.denominator
+        return d & (d - 1) == 0 and d <= 1 << 200 and -(1 << 53) < x.numerator < 1 << 53
+    return False
+
+
+# Shewchuk's static bound for orient2d (DCG 1997, ccwerrboundA): on float
+# input free of overflow and underflow, the float l - r is within
+# (3u + 16u²)(|l| + |r|) of the exact determinant, u = 2**-53.
+_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+
+
+def orient_filter(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> Optional[int]:
+    """Sign of the determinant of (a, b, c) as +1 or -1, exact for
+    coordinates that convert exactly, or None when the float determinant is
+    too close to 0 to call."""
+    l = (bx - ax) * (cy - ay)
+    r = (by - ay) * (cx - ax)
+    det = l - r
+    if abs(det) > _ORIENT_ERR * (abs(l) + abs(r)):
+        return 1 if det > 0 else -1
+    return None
+
+
 def orient2d(a: Point, b: Point, c: Point) -> int:
     """Sign of the signed area of (a, b, c): +1 iff c strictly left of a->b."""
+    coords = (a.x, a.y, b.x, b.y, c.x, c.y)
+    if all(map(_converts_exactly, coords)):
+        s = orient_filter(*map(float, coords))
+        if s is not None:
+            return s
     det = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
     if det > 0:
         return 1

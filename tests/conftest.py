@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from planeconvex.bodies import Disk, DiskIntersection, contains_point, convex_hull
+from planeconvex.bodies import Disk, DiskIntersection, Polygon, contains_point, convex_hull
 from planeconvex.errors import EmptyInput
 from planeconvex.geom import DEFAULT_TOL, EXACT_TOL, Point, cross, dist, dot, seg_point_dist
 from planeconvex.rng import SplitMix64
@@ -167,6 +167,44 @@ def brute_force_closure_points(points: Sequence[Point], mask: int) -> int:
         if mask >> i & 1 or contains_point(hull, p, "closed", tol):
             out |= 1 << i
     return out
+
+
+def raw_orient2d(a: Point, b: Point, c: Point) -> int:
+    """The orientation determinant's sign formed on the input coordinates as
+    they are: exact on ints and Fractions, rounded wherever a float enters."""
+    det = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    return (det > 0) - (det < 0)
+
+
+def brute_force_orient2d(a: Point, b: Point, c: Point) -> int:
+    """Reference for ``geom.orient2d``: the exact sign, from the determinant
+    on ``Fraction(x)`` of each coordinate."""
+    F = Fraction
+    return raw_orient2d(Point(F(a.x), F(a.y)), Point(F(b.x), F(b.y)), Point(F(c.x), F(c.y)))
+
+
+def brute_force_convex_hull(points: Sequence[Point]) -> Polygon:
+    """Reference for ``bodies.convex_hull``: Andrew's monotone chain on the
+    input values, deduplicated by a set, with ``raw_orient2d`` turns."""
+    if not points:
+        raise EmptyInput("convex_hull of empty set")
+    pts = sorted(set((p.x, p.y) for p in points))
+    pts = [Point(x, y) for x, y in pts]
+    if len(pts) <= 2:
+        return Polygon(tuple(pts))
+
+    def half(points_iter):
+        out = []
+        for p in points_iter:
+            while len(out) >= 2 and raw_orient2d(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = half(pts)[:-1] + half(reversed(pts))[:-1]
+    if len(hull) < 3:  # collinear input
+        return Polygon((pts[0], pts[-1]))
+    return Polygon(tuple(hull))
 
 
 def brute_force_polygon_contains(u, p: Point, mode: str, eps: float) -> bool:

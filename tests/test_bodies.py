@@ -63,6 +63,7 @@ from planeconvex.rng import SplitMix64, trial_seed
 from planeconvex.theorem import rational_disk_enumeration
 from planeconvex.transforms import Translation, homothety
 from tests.conftest import (
+    brute_force_convex_hull,
     brute_force_di_boundary,
     brute_force_feasible_point,
     brute_force_pair_points,
@@ -131,6 +132,68 @@ class TestConvexHull:
         assert convex_hull(list(h.vertices)).vertices == h.vertices
         for p in pts:
             assert contains_point(h, p, "closed", EXACT)
+
+
+@st.composite
+def hull_inputs(draw):
+    """1-8 points, free or on one line, some repeated with another type
+    (1, Fraction(1), 1.0), typed all int and Fraction (dyadic, or with
+    1/3 and 1/97), all float (maybe one ulp off a grid), or mixed on a grid
+    of sixteenths, where no arithmetic rounds."""
+    mode = draw(st.sampled_from(["exact", "nondyadic", "float", "mixed"]))
+    grid = st.builds(F, st.integers(-64, 64), st.just(16))
+    if mode == "nondyadic":
+        grid = st.builds(F, st.integers(-64, 64), st.sampled_from([16, 3, 97]))
+    if draw(st.booleans()):
+        a = (draw(grid), draw(grid))
+        d = (draw(grid), draw(grid))
+        vals = [(a[0] + t * d[0], a[1] + t * d[1]) for t in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))]
+    else:
+        vals = draw(st.lists(st.tuples(grid, grid), min_size=1, max_size=8))
+    vals += draw(st.lists(st.sampled_from(vals), max_size=3))
+    kinds = {"exact": [int, F], "nondyadic": [int, F], "float": [float], "mixed": [int, F, float]}[mode]
+
+    def typed(v):
+        kind = draw(st.sampled_from(kinds))
+        if kind is float and mode == "float" and draw(st.integers(0, 9)) == 0:
+            return math.nextafter(float(v), draw(st.sampled_from([-1.0, 1.0])))
+        if kind is float and F(float(v)) == v or kind is int and v.denominator == 1:
+            return kind(v)
+        return v
+
+    return [Point(typed(x), typed(y)) for x, y in vals]
+
+
+class TestFilteredConvexHull:
+    @settings(max_examples=120, deadline=None)
+    @given(hull_inputs())
+    @example([Point(1, 1), Point(F(1), F(1)), Point(1.0, 1.0)])
+    @example([Point(1.0, 0), Point(0, 0), Point(1, 0.0), Point(F(1, 2), 0)])
+    def test_matches_reference(self, pts):
+        got = convex_hull(pts)
+        ref = brute_force_convex_hull(pts)
+        assert got.vertices == ref.vertices
+        assert [type(v) for p in got.vertices for v in p] == [type(v) for p in ref.vertices for v in p]
+        fresh = Polygon(got.vertices).floats()
+        assert (got.floats().edges, got.floats().dyadic) == (fresh.edges, fresh.dyadic)
+
+    def test_float_rounding_to_zero_takes_the_exact_fallback(self, monkeypatch):
+        """Both products of the turn at (2**27, 2**27 - 1) round to 2**54:
+        the float chain would see three collinear points."""
+        calls = []
+        exact = bodies.orient2d
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(bodies, "orient2d", counted)
+        pts = [Point(0, 0), Point(2**27 + 1, 2**27), Point(2**27, 2**27 - 1)]
+        assert convex_hull(pts).vertices == (pts[0], pts[2], pts[1])
+        assert len(calls) >= 1
+        calls.clear()
+        assert len(convex_hull([Point(F(1, 2), 0), Point(3, 1), Point(0, 2)]).vertices) == 3
+        assert calls == []
 
 
 class TestHullOfUnion:
@@ -279,6 +342,16 @@ class TestFilteredPolygonContains:
         calls.clear()
         assert contains_point(tri, Point(F(1, 2), F(1, 2)), "closed", tol)
         assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(polygons_and_points(), st.integers(1, 4), st.sampled_from([1e-9, 1e-6]))
+    def test_polygon_in_polygon_matches_per_vertex_form(self, case, k, eps):
+        poly, pts = case
+        tol = Tolerance(eps)
+        for body in (convex_hull(pts[:k]), convex_hull(pts[-k:]), Polygon((pts[k],))):
+            want = all(brute_force_polygon_contains(poly, v, "closed", eps) for v in body.vertices)
+            assert includes(poly, body, tol) == want
+            assert all(contains_point(poly, v, "closed", tol) for v in body.vertices) == want
 
     def test_exact_conversion_rule(self):
         assert all(_converts_exactly(x) for x in (0, -(2**53) + 1, F(-3, 256), F(2**53 - 1, 2**200), 0.1, -0.0))

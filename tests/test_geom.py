@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planeconvex.fixtures import SQRT3_50
@@ -14,15 +14,70 @@ from planeconvex.geom import (
     Direction,
     Point,
     Tolerance,
+    _converts_exactly,
     dist,
     dist2,
     midpoint,
     orient2d,
+    orient_filter,
     side_of_line,
     seg_point_dist,
 )
+from planeconvex.rng import SplitMix64
+from tests.conftest import brute_force_orient2d, raw_orient2d
 
 F = Fraction
+
+
+def _typed(v: Fraction, kind: str):
+    """v as an int, a Fraction or a float, where that type holds v exactly."""
+    if kind == "int" and v.denominator == 1:
+        return int(v)
+    if kind == "float":
+        try:
+            if F(float(v)) == v:
+                return float(v)
+        except OverflowError:
+            pass
+    return v
+
+
+@st.composite
+def degenerate_triples(draw):
+    """Three points near or on one line: a and b with random 50-bit
+    coordinates and c on the line through them, rounded to floats (so the
+    determinant is tiny and its float products round), or a repeated point,
+    or three free points.  Then maybe one coordinate moves by one ulp, the
+    whole is scaled by a power of two that reaches or passes the filter's
+    range (2**-200 to 2**200) or by 1/3 or 1/97, or replaced by ints at and
+    just past 2**53, and typed all int or Fraction, all float, or mixed
+    coordinate by coordinate."""
+    rng = SplitMix64(draw(st.integers(0, 2**32)))
+
+    def coord():
+        return F(rng.randint(-(2**50), 2**50), rng.choice([1, 2**20, 2**50]))
+
+    a, b = [coord(), coord()], [coord(), coord()]
+    shape = draw(st.sampled_from(["line", "line", "line", "repeat", "free"]))
+    if shape == "line":
+        t = F(draw(st.integers(-64, 64)), 16)
+        c = [F(float(a[0] + t * (b[0] - a[0]))), F(float(a[1] + t * (b[1] - a[1])))]
+    elif shape == "repeat":
+        c = list(draw(st.sampled_from([a, b])))
+    else:
+        c = [coord(), coord()]
+    coords = a + b + c
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 5))
+        coords[k] = F(math.nextafter(float(coords[k]), draw(st.sampled_from([-math.inf, math.inf]))))
+    scale = draw(st.sampled_from([F(1), F(1), F(1), F(2**150), F(1, 2**150), F(1, 2**230), F(1, 3), F(1, 97)]))
+    coords = [v * scale for v in coords]
+    if draw(st.integers(0, 5)) == 0:  # ints at and just past 2**53
+        coords = [round(v) % 8 + 2**53 - 4 for v in coords]
+    mode = draw(st.sampled_from(["exact", "float", "mixed"]))
+    kinds = {"exact": ["int", "fraction"], "float": ["float"], "mixed": ["int", "fraction", "float"]}[mode]
+    typed = [_typed(F(v), draw(st.sampled_from(kinds))) for v in coords]
+    return Point(*typed[:2]), Point(*typed[2:4]), Point(*typed[4:])
 
 
 class TestOrient2d:
@@ -53,6 +108,39 @@ class TestOrient2d:
         assert orient2d(b, c, a) == s
         assert orient2d(c, a, b) == s
         assert orient2d(a, c, b) == -s
+
+
+class TestFilteredOrient2d:
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_triples())
+    @example((Point(0, F(0)), Point(1.0, F(1)), Point(F(2), 2.0)))
+    def test_matches_reference(self, abc):
+        """Exact on exact input; on float input today's float determinant's
+        sign; on mixed input the exact sign or that of today's expression.
+        Wherever every coordinate converts exactly, a sign the filter
+        decides is the exact one."""
+        a, b, c = abc
+        got = orient2d(a, b, c)
+        values = [*a, *b, *c]
+        if not any(isinstance(v, float) for v in values):
+            assert got == brute_force_orient2d(a, b, c)
+        if all(isinstance(v, float) for v in values):
+            assert got == raw_orient2d(a, b, c)
+        if got != brute_force_orient2d(a, b, c):
+            assert got == raw_orient2d(a, b, c)
+        if all(map(_converts_exactly, values)):
+            s = orient_filter(*map(float, values))
+            assert s is None or s == brute_force_orient2d(a, b, c)
+
+    def test_float_rounding_to_zero_takes_the_exact_fallback(self):
+        """(2**27 + 1)(2**27 - 1) - 2**27 * 2**27 is -1, but both products
+        round to 2**54, so the filter must leave it to the exact expression."""
+        a, b, c = Point(0, 0), Point(2**27 + 1, 2**27), Point(2**27, 2**27 - 1)
+        floats = [float(v) for v in (*a, *b, *c)]
+        assert orient_filter(*floats) is None
+        assert raw_orient2d(*(Point(*floats[i : i + 2]) for i in (0, 2, 4))) == 0
+        assert orient2d(a, b, c) == -1
+        assert orient2d(Point(F(0), F(0)), Point(F(2**27 + 1), F(2**27)), Point(F(2**27), F(2**27 - 1))) == -1
 
 
 class TestSideOfLine:
