@@ -15,7 +15,6 @@ from .transforms import (
     IDENTITY,
     Homothety,
     PlaneMap,
-    RigidMotion,
     Translation,
     compose,
     conjugate_homothety,
@@ -51,19 +50,16 @@ from .bodies import (
 from .theorem import (
     BarycentricDecomposition,
     Comet,
-    ShrinkFamily,
     Witness,
     caratheodory_decompose,
     carousel_witness,
     comet_build,
     comet_loose_inclusion_check,
-    curved_trapezoid,
     edge_free_approx,
     fejes_toth_crossing,
     internally_tangent,
     max_shrink_parameter,
     tangency_classify,
-    tangency_inclusion_dichotomy,
     witness_search,
 )
 from .convexgeo import (

@@ -71,6 +71,7 @@ from .geom import (
     is_exact,
     orient2d,
     orient_filter,
+    project_to_segment,
     seg_point_dist,
 )
 from .transforms import PlaneMap
@@ -103,10 +104,6 @@ class Polygon(ConvexBody):
         if not self.vertices:
             raise EmptyInput("polygon needs at least one vertex")
 
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.vertices) == 1
-
     def floats(self) -> "_PolygonFloats":
         """The vertices and edges as floats, converted once."""
         if self._floats is None:
@@ -115,18 +112,6 @@ class Polygon(ConvexBody):
             dyadic = all(_converts_exactly(p.x) and _converts_exactly(p.y) for p in vs)
             object.__setattr__(self, "_floats", _PolygonFloats(xy, dyadic))
         return self._floats
-
-    def edges(self):
-        vs = self.vertices
-        n = len(vs)
-        if n == 1:
-            return
-        if n == 2:
-            yield vs[0], vs[1]
-            yield vs[1], vs[0]
-            return
-        for i in range(n):
-            yield vs[i], vs[(i + 1) % n]
 
 
 @dataclass(frozen=True)
@@ -137,10 +122,6 @@ class Disk(ConvexBody):
     def __post_init__(self):
         if self.radius < 0:
             raise BadRadius("disk radius must be >= 0")
-
-    @property
-    def is_singleton(self) -> bool:
-        return self.radius == 0
 
 
 @dataclass(frozen=True)
@@ -632,10 +613,14 @@ def _arc_filter(fd: _DiskFloats) -> Tuple[List[int], List[List[int]]]:
     return circles.tolist(), [np.flatnonzero(k).tolist() for k in keep]
 
 
-def _angle_in_intervals(a: float, intervals: List[Tuple[float, float]], slack: float = 1e-12) -> bool:
+# An angle within this of an arc's ends counts as on the arc.
+_ARC_SLACK = 1e-9
+
+
+def _angle_in_intervals(a: float, intervals: List[Tuple[float, float]]) -> bool:
     for s, e in intervals:
         for k in (-1, 0, 1):
-            if s - slack <= a + k * TWO_PI <= e + slack:
+            if s - _ARC_SLACK <= a + k * TWO_PI <= e + _ARC_SLACK:
                 return True
     return False
 
@@ -656,7 +641,7 @@ def support_value(u: ConvexBody, nx: float, ny: float) -> float:
         a = math.atan2(ny, nx) % TWO_PI
         for i, intervals in b.arcs:
             d = u.disks[i]
-            if _angle_in_intervals(a, intervals, 1e-9):
+            if _angle_in_intervals(a, intervals):
                 best = max(best, float(d.center.x) * nx + float(d.center.y) * ny + float(d.radius))
         for p in b.corners:
             best = max(best, float(p.x) * nx + float(p.y) * ny)
@@ -694,9 +679,9 @@ def support_grid(u: ConvexBody, dirs: np.ndarray = GRID_DIRS) -> np.ndarray:
                 if e - s >= TWO_PI - 1e-12:
                     mask[:] = True
                 elif s2 <= e2:
-                    mask |= (angles >= s2 - 1e-9) & (angles <= e2 + 1e-9)
+                    mask |= (angles >= s2 - _ARC_SLACK) & (angles <= e2 + _ARC_SLACK)
                 else:
-                    mask |= (angles >= s2 - 1e-9) | (angles <= e2 + 1e-9)
+                    mask |= (angles >= s2 - _ARC_SLACK) | (angles <= e2 + _ARC_SLACK)
             out = np.where(mask, np.maximum(out, vals), out)
         if b.corners:
             C = np.array([(float(p.x), float(p.y)) for p in b.corners])
@@ -774,8 +759,8 @@ def _support_pieces(u: ConvexBody) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     raise TypeError(f"unknown body {type(u)}")
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 48) -> float:
-    """Golden-section minimum of f on [lo, hi]."""
+def _golden_min(f, lo: float, hi: float, iters: int = 48) -> Tuple[float, float]:
+    """Golden-section minimum of f on [lo, hi], as (argmin, value)."""
     invphi = (math.sqrt(5.0) - 1) / 2
     a, b = lo, hi
     c = b - (b - a) * invphi
@@ -790,7 +775,7 @@ def _golden_min(f, lo: float, hi: float, iters: int = 48) -> float:
             a, c, fc = c, d, fd
             d = a + (b - a) * invphi
             fd = f(d)
-    return min(fc, fd)
+    return (c, fc) if fc < fd else (d, fd)
 
 
 def support_margin(a: ConvexBody, b: ConvexBody) -> float:
@@ -805,7 +790,7 @@ def support_margin(a: ConvexBody, b: ConvexBody) -> float:
         nx, ny = math.cos(theta), math.sin(theta)
         return support_value(a, nx, ny) - support_value(b, nx, ny)
 
-    return min(grid_min, _golden_min(f, lo, hi))
+    return min(grid_min, _golden_min(f, lo, hi)[1])
 
 
 def point_margin(u: ConvexBody, p: Point) -> float:
@@ -1010,7 +995,7 @@ def support_point(u: ConvexBody, nx: float, ny: float) -> Point:
         n = math.hypot(nx, ny)
         for i, intervals in b.arcs:
             d = u.disks[i]
-            if _angle_in_intervals(a, intervals, 1e-9):
+            if _angle_in_intervals(a, intervals):
                 p = Point(
                     float(d.center.x) + float(d.radius) * nx / n,
                     float(d.center.y) + float(d.radius) * ny / n,
@@ -1066,7 +1051,7 @@ def nearest_point(u: ConvexBody, p: Point) -> Point:
         best, bd = None, math.inf
         pairs = list(zip(vs, vs[1:] + (vs[0],))) if len(vs) > 2 else [(vs[0], vs[1])]
         for a, b in pairs:
-            q = _project_to_segment(a, b, p)
+            q = project_to_segment(a, b, p)
             dq = dist(p, q)
             if dq < bd:
                 best, bd = q, dq
@@ -1084,7 +1069,7 @@ def nearest_point(u: ConvexBody, p: Point) -> Point:
         for i, intervals in b.arcs:
             d = u.disks[i]
             ang = math.atan2(float(p.y) - float(d.center.y), float(p.x) - float(d.center.x)) % TWO_PI
-            if _angle_in_intervals(ang, intervals, 1e-9):
+            if _angle_in_intervals(ang, intervals):
                 q = Point(
                     float(d.center.x) + float(d.radius) * math.cos(ang),
                     float(d.center.y) + float(d.radius) * math.sin(ang),
@@ -1111,30 +1096,13 @@ def nearest_point(u: ConvexBody, p: Point) -> Point:
 
         lo = _GRID_ANGLES[k] - TWO_PI / GRID_N
         hi = _GRID_ANGLES[k] + TWO_PI / GRID_N
-        dbest = -_golden_min(f, lo, hi)
-        dbest = max(dbest, float(m[k]))
-        # refined direction via small scan
-        thetas = np.linspace(lo, hi, 65)
-        vals = [
-            float(p.x) * math.cos(t) + float(p.y) * math.sin(t) - support_value(u, math.cos(t), math.sin(t))
-            for t in thetas
-        ]
-        t = float(thetas[int(np.argmax(vals))])
+        t, neg = _golden_min(f, lo, hi)
+        dbest = -neg
+        if m[k] > dbest:
+            t, dbest = _GRID_ANGLES[k], float(m[k])
         nx, ny = math.cos(t), math.sin(t)
         return Point(float(p.x) - dbest * nx, float(p.y) - dbest * ny)
     raise TypeError(f"unknown body {type(u)}")
-
-
-def _project_to_segment(a: Point, b: Point, p: Point) -> Point:
-    ax, ay, bx, by = float(a.x), float(a.y), float(b.x), float(b.y)
-    px, py = float(p.x), float(p.y)
-    vx, vy = bx - ax, by - ay
-    L2 = vx * vx + vy * vy
-    if L2 == 0:
-        return Point(ax, ay)
-    t = ((px - ax) * vx + (py - ay) * vy) / L2
-    t = 0.0 if t < 0 else (1.0 if t > 1 else t)
-    return Point(ax + t * vx, ay + t * vy)
 
 
 def dist_to_body(u: ConvexBody, p: Point, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -1155,7 +1123,7 @@ def farthest_dist(u: ConvexBody, c: Point) -> float:
         for i, intervals in b.arcs:
             d = u.disks[i]
             ang = math.atan2(float(d.center.y) - float(c.y), float(d.center.x) - float(c.x)) % TWO_PI
-            if _angle_in_intervals(ang, intervals, 1e-9):
+            if _angle_in_intervals(ang, intervals):
                 q = Point(
                     float(d.center.x) + float(d.radius) * math.cos(ang),
                     float(d.center.y) + float(d.radius) * math.sin(ang),
@@ -1292,7 +1260,7 @@ def _tangent_candidates(u: ConvexBody, f: Point) -> List[Point]:
             d = u.disks[i]
             for t in _circle_tangent_points(d.center, float(d.radius), f):
                 ang = math.atan2(float(t.y) - float(d.center.y), float(t.x) - float(d.center.x)) % TWO_PI
-                if _angle_in_intervals(ang, intervals, 1e-9):
+                if _angle_in_intervals(ang, intervals):
                     out.append(t)
         return out
     if isinstance(u, HullOfUnion):

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Verbs: verify-theorem, carousel, approx, convexgeo, crossing, fixtures,
-render.  Exit code 0 when every trial passes, 1 when failures are present,
-2 on usage errors.
+One verb per scenario kind of ``harness.SCENARIOS`` (verify-theorem,
+carousel, approx, convexgeo, crossing, fixtures), plus render.  Exit code 0
+when every trial passes, 1 when failures are present, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ import json
 import sys
 from typing import Optional
 
-from . import serial
-from .harness import Scenario, SweepReport, report_to_csv, run_scenario
+from .harness import SCENARIOS, Scenario, SweepReport, report_to_csv, run_scenario
 from .svgrender import render_svg
 
 
@@ -31,45 +30,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Randomized verification sweeps for planar convexity claims",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
-    verbs = [
-        ("verify-theorem", "theorem-sweep", 100),
-        ("carousel", "carousel-grid", 5),
-        ("approx", "approx-study", 2),
-        ("convexgeo", "convexgeo-check", 50),
-        ("crossing", "crossing-study", 500),
-        ("fixtures", "fixture", 5),
-    ]
-    for verb, _kind, _default in verbs:
-        p = sub.add_parser(verb)
+    for kind in SCENARIOS.values():
+        p = sub.add_parser(kind.verb)
         _add_common(p)
-        if verb == "carousel":
-            p.add_argument("--grid", type=int, default=50)
-        if verb == "approx":
-            p.add_argument("--disks", type=int, default=200)
+        for name, default in kind.params.items():
+            p.add_argument(f"--{name}", type=int, default=default)
     pr = sub.add_parser("render", help="render an instance file to SVG")
     pr.add_argument("instance", type=str, help="JSON instance file")
     pr.add_argument("--results", type=str, default=None, help="JSON results file")
     pr.add_argument("--out", type=str, default=None)
     return ap
-
-
-_KIND = {
-    "verify-theorem": "theorem-sweep",
-    "carousel": "carousel-grid",
-    "approx": "approx-study",
-    "convexgeo": "convexgeo-check",
-    "crossing": "crossing-study",
-    "fixtures": "fixture",
-}
-
-_DEFAULT_TRIALS = {
-    "theorem-sweep": 100,
-    "carousel-grid": 5,
-    "approx-study": 2,
-    "convexgeo-check": 50,
-    "crossing-study": 500,
-    "fixture": 5,
-}
 
 
 def _report_txt(report: SweepReport) -> str:
@@ -108,16 +78,11 @@ def main(argv=None) -> int:
         _emit(render_svg(instance, results), args.out)
         return 0
 
-    kind = _KIND[args.verb]
-    params = {}
-    trials = args.trials if args.trials is not None else _DEFAULT_TRIALS[kind]
-    params["trials"] = trials
-    if args.verb == "carousel":
-        params["grid"] = args.grid
-    if args.verb == "approx":
-        params["disks"] = args.disks
-    sc = Scenario(kind=kind, params=params, seed=args.seed, eps=args.eps)
-    report = run_scenario(sc)
+    name, kind = next((name, kind) for name, kind in SCENARIOS.items() if kind.verb == args.verb)
+    params = {p: getattr(args, p) for p in kind.params}
+    if args.trials is not None:
+        params["trials"] = args.trials
+    report = run_scenario(Scenario(kind=name, params=params, seed=args.seed, eps=args.eps))
     text = report_to_csv(report) if args.format == "csv" else _report_txt(report)
     _emit(text, args.out)
     return 0 if not report.failures else 1

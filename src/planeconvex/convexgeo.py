@@ -19,7 +19,7 @@ directions of the hull's support function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple

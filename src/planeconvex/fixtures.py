@@ -14,7 +14,7 @@ from math import isqrt
 
 from .bodies import Disk, Polygon, Triangle
 from .geom import Point
-from .transforms import Homothety, Translation, homothety
+from .transforms import Translation, homothety
 
 # sqrt(3) to 50 decimal digits, as an exact rational
 _D = 10 ** 50

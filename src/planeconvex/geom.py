@@ -118,9 +118,6 @@ class DirectedLine(NamedTuple):
     anchor: Point
     d: Direction
 
-    def reverse(self) -> "DirectedLine":
-        return DirectedLine(self.anchor, self.d.reversed())
-
     def point_at(self, t: float) -> Point:
         ux, uy = self.d.unit()
         return Point(float(self.anchor.x) + t * ux, float(self.anchor.y) + t * uy)
@@ -220,15 +217,20 @@ def dist(p: Point, q: Point) -> float:
     return math.hypot(float(p.x) - float(q.x), float(p.y) - float(q.y))
 
 
-def seg_point_dist(a: Point, b: Point, p: Point) -> float:
-    """Distance from p to the segment [a, b]."""
+def project_to_segment(a: Point, b: Point, p: Point) -> Point:
+    """The point of the segment [a, b] nearest to p (float track)."""
     ax, ay = float(a.x), float(a.y)
     bx, by = float(b.x), float(b.y)
     px, py = float(p.x), float(p.y)
     vx, vy = bx - ax, by - ay
     L2 = vx * vx + vy * vy
     if L2 == 0.0:
-        return math.hypot(px - ax, py - ay)
+        return Point(ax, ay)
     t = ((px - ax) * vx + (py - ay) * vy) / L2
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    return math.hypot(px - (ax + t * vx), py - (ay + t * vy))
+    return Point(ax + t * vx, ay + t * vy)
+
+
+def seg_point_dist(a: Point, b: Point, p: Point) -> float:
+    """Distance from p to the segment [a, b]."""
+    return dist(p, project_to_segment(a, b, p))

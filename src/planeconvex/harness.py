@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
 
 from . import serial
 from .bodies import (
@@ -21,6 +21,8 @@ from .bodies import (
     DiskIntersection,
     Polygon,
     Triangle,
+    abundance,
+    contains_point,
     convex_hull,
     includes,
     transform_body,
@@ -31,19 +33,16 @@ from .convexgeo import (
     verify_anti_exchange,
     verify_closure_axioms,
 )
-from .errors import GenerationFailed, IndeterminateGeometry, PreconditionViolated
-from .geom import DEFAULT_TOL, Point, Tolerance, dist, orient2d
+from .errors import GenerationFailed, IndeterminateGeometry
+from .geom import DEFAULT_TOL, Point, Tolerance, dist
 from .rng import SplitMix64, trial_seed
 from .theorem import (
-    Witness,
     carousel_witness,
     edge_free_approx,
     fejes_toth_crossing,
     witness_search,
 )
 from .transforms import PlaneMap, Translation, homothety
-
-from .bodies import abundance, contains_point
 
 
 @dataclass(frozen=True)
@@ -52,13 +51,6 @@ class Scenario:
     params: Dict[str, Any]
     seed: int
     eps: float = 1e-9
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "params": self.params, "seed": self.seed, "eps": self.eps}
-
-    @classmethod
-    def from_json(cls, d: Dict[str, Any]) -> "Scenario":
-        return cls(d["kind"], dict(d.get("params", {})), int(d["seed"]), float(d.get("eps", 1e-9)))
 
 
 @dataclass
@@ -263,84 +255,7 @@ def _interior_rational_point(rng: SplitMix64, tri: Triangle) -> Point:
 
 
 # ---------------------------------------------------------------------------
-# Scenario execution
-
-
-def run_scenario(sc: Scenario) -> SweepReport:
-    t_start = time.perf_counter()
-    records: List[TrialRecord] = []
-    trials = int(sc.params.get("trials", 100))
-
-    if sc.kind == "theorem-sweep":
-        for t in range(trials):
-            t0 = time.perf_counter()
-            tseed = trial_seed(sc.seed, t)
-            inst = generate_instance("theorem-sweep", tseed)
-            rec = run_theorem_instance(inst, sc.eps)
-            rec.trial = t
-            rec.millis = (time.perf_counter() - t0) * 1000.0
-            records.append(rec)
-    elif sc.kind == "carousel-grid":
-        grid = int(sc.params.get("grid", 50))
-        for t in range(trials):
-            t0 = time.perf_counter()
-            tseed = trial_seed(sc.seed, t)
-            inst = generate_instance("carousel-grid", tseed)
-            ok = run_carousel_instance(inst, grid)
-            records.append(
-                TrialRecord(t, sc.kind, tseed, "pass" if ok else "fail", millis=(time.perf_counter() - t0) * 1000.0)
-            )
-    elif sc.kind == "crossing-study":
-        for t in range(trials):
-            t0 = time.perf_counter()
-            tseed = trial_seed(sc.seed, t)
-            inst = generate_instance("crossing-study", tseed)
-            d0 = serial.body_from_json(inst["body0"])
-            d1 = serial.body_from_json(inst["body1"])
-            crossing = fejes_toth_crossing(d0, d1, Tolerance(sc.eps))
-            records.append(
-                TrialRecord(
-                    t, sc.kind, tseed, "fail" if crossing else "pass",
-                    millis=(time.perf_counter() - t0) * 1000.0,
-                )
-            )
-    elif sc.kind == "convexgeo-check":
-        for t in range(trials):
-            t0 = time.perf_counter()
-            tseed = trial_seed(sc.seed, t)
-            inst = generate_instance("convexgeo-check", tseed)
-            verdict = run_convexgeo_instance(inst)
-            records.append(
-                TrialRecord(t, sc.kind, tseed, verdict, millis=(time.perf_counter() - t0) * 1000.0)
-            )
-    elif sc.kind == "approx-study":
-        budget = int(sc.params.get("disks", 200))
-        bodies = _approx_bodies(sc.seed)
-        for t, (name, u) in enumerate(bodies):
-            t0 = time.perf_counter()
-            ok, final = run_approx_instance(u, budget)
-            records.append(
-                TrialRecord(
-                    t, sc.kind, sc.seed, "pass" if ok else "fail", xi_max=final,
-                    millis=(time.perf_counter() - t0) * 1000.0,
-                )
-            )
-    elif sc.kind == "fixture":
-        records = run_fixture_battery(sc)
-    else:
-        raise ValueError(f"unknown scenario kind {sc.kind!r}")
-
-    passes = sum(1 for r in records if r.verdict == "pass")
-    fails = [r.trial for r in records if r.verdict == "fail"]
-    ind = sum(1 for r in records if r.verdict == "indeterminate")
-    return SweepReport(
-        trials=len(records),
-        passes=passes,
-        failures=fails,
-        indeterminate=ind,
-        millis=(time.perf_counter() - t_start) * 1000.0,
-        records=records,
-    )
+# One trial of each kind
 
 
 def run_theorem_instance(inst: Dict[str, Any], eps: float) -> TrialRecord:
@@ -360,7 +275,7 @@ def run_theorem_instance(inst: Dict[str, Any], eps: float) -> TrialRecord:
     return TrialRecord(0, inst["kind"], inst["seed"], "fail", eps_used=eps_used)
 
 
-def run_carousel_instance(inst: Dict[str, Any], grid: int = 50) -> bool:
+def run_carousel_instance(inst: Dict[str, Any], grid: int) -> bool:
     tri = serial.triangle_from_json(inst["triangle"])
     b0 = serial.point_from_json(inst["b0"])
     a0, a1, a2 = tri.points
@@ -414,9 +329,10 @@ def _approx_bodies(seed: int):
     return [("square", square), ("triangle", Polygon(tuple(pts)))]
 
 
-def run_approx_instance(u, budget: int = 200):
-    """Nonincreasing abundance dropping below 0.05 within the budget."""
-    checkpoints = [1, 2, 5, 10, 20, 50, 100, 150, budget]
+def run_approx_instance(u, budget: int):
+    """Nonincreasing abundance dropping below 0.05 within the budget, checked
+    at the checkpoints below the budget and at the budget."""
+    checkpoints = [n for n in (1, 2, 5, 10, 20, 50, 100, 150) if n < budget] + [budget]
     prev = None
     final = None
     for n in checkpoints:
@@ -428,16 +344,60 @@ def run_approx_instance(u, budget: int = 200):
     return final < 0.05, final
 
 
-def run_fixture_battery(sc: Scenario) -> List[TrialRecord]:
+# ---------------------------------------------------------------------------
+# Scenario execution: each kind yields its trials' records, and one loop
+# numbers and times them.
+
+
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+def _seeded(sc: Scenario, trials: int):
+    """Each trial's seed and generated instance."""
+    for t in range(trials):
+        seed = trial_seed(sc.seed, t)
+        yield seed, generate_instance(sc.kind, seed)
+
+
+def _theorem_trials(sc: Scenario, trials: int) -> Iterator[TrialRecord]:
+    for _, inst in _seeded(sc, trials):
+        yield run_theorem_instance(inst, sc.eps)
+
+
+def _carousel_trials(sc: Scenario, trials: int, grid: int) -> Iterator[TrialRecord]:
+    for seed, inst in _seeded(sc, trials):
+        yield TrialRecord(0, sc.kind, seed, _verdict(run_carousel_instance(inst, grid)))
+
+
+def _crossing_trials(sc: Scenario, trials: int) -> Iterator[TrialRecord]:
+    for seed, inst in _seeded(sc, trials):
+        d0 = serial.body_from_json(inst["body0"])
+        d1 = serial.body_from_json(inst["body1"])
+        yield TrialRecord(0, sc.kind, seed, _verdict(not fejes_toth_crossing(d0, d1, Tolerance(sc.eps))))
+
+
+def _convexgeo_trials(sc: Scenario, trials: int) -> Iterator[TrialRecord]:
+    for seed, inst in _seeded(sc, trials):
+        yield TrialRecord(0, sc.kind, seed, run_convexgeo_instance(inst))
+
+
+def _approx_trials(sc: Scenario, trials: int, disks: int) -> Iterator[TrialRecord]:
+    """The square and the seed's triangle, whatever the trial count."""
+    for _, u in _approx_bodies(sc.seed):
+        ok, final = run_approx_instance(u, disks)
+        yield TrialRecord(0, sc.kind, sc.seed, _verdict(ok), xi_max=final)
+
+
+def _fixture_trials(sc: Scenario, trials: int) -> Iterator[TrialRecord]:
+    """The five committed fixtures, whatever the trial count."""
     from . import fixtures
     from .convexgeo import shapes_closure_system, m3_lattice, is_join_distributive
     from .errors import EdgeFreeRequired
     from .theorem import internally_tangent, tangency_classify
 
-    records = []
-
-    def add(i, name_ok):
-        records.append(TrialRecord(i, "fixture", sc.seed, "pass" if name_ok else "fail"))
+    def record(ok: bool) -> TrialRecord:
+        return TrialRecord(0, sc.kind, sc.seed, _verdict(ok))
 
     # rectangle pair: internally tangent, yet classification must refuse
     rect = fixtures.rectangle()
@@ -452,23 +412,68 @@ def run_fixture_battery(sc: Scenario) -> List[TrialRecord]:
             ok = False
         except EdgeFreeRequired:
             pass
-    add(0, ok)
+    yield record(ok)
 
     # exact disk tangency
     d0, m = fixtures.disk_tangency_pair()
     cls = tangency_classify(d0, m, Tolerance(sc.eps))
-    add(1, cls.kind == "CenterContact" and cls.inclusion == "U0_in_U1")
+    yield record(cls.kind == "CenterContact" and cls.inclusion == "U0_in_U1")
 
     # plus-sign crossing
     r0, r1 = fixtures.plus_sign_rectangles()
-    add(2, fejes_toth_crossing(r0, r1, Tolerance(sc.eps)))
+    yield record(fejes_toth_crossing(r0, r1, Tolerance(sc.eps)))
 
     # committed anti-exchange violation
     cs = shapes_closure_system(fixtures.ANTI_EXCHANGE_SHAPES)
     ok_ax, _ = verify_closure_axioms(cs)
     ok_ae, wit = verify_anti_exchange(cs)
-    add(3, ok_ax and not ok_ae and wit == fixtures.ANTI_EXCHANGE_WITNESS)
+    yield record(ok_ax and not ok_ae and wit == fixtures.ANTI_EXCHANGE_WITNESS)
 
     # M3 fails join-distributivity
-    add(4, not is_join_distributive(m3_lattice()))
-    return records
+    yield record(not is_join_distributive(m3_lattice()))
+
+
+class ScenarioKind(NamedTuple):
+    """A sweep kind: its CLI verb, default trial count, extra integer
+    parameters with their defaults, and ``run(sc, trials, **params)``, which
+    yields one record per trial."""
+
+    verb: str
+    trials: int
+    params: Dict[str, int]
+    run: Callable[..., Iterator[TrialRecord]]
+
+
+SCENARIOS: Dict[str, ScenarioKind] = {
+    "theorem-sweep": ScenarioKind("verify-theorem", 100, {}, _theorem_trials),
+    "carousel-grid": ScenarioKind("carousel", 5, {"grid": 50}, _carousel_trials),
+    "approx-study": ScenarioKind("approx", 2, {"disks": 200}, _approx_trials),
+    "convexgeo-check": ScenarioKind("convexgeo", 50, {}, _convexgeo_trials),
+    "crossing-study": ScenarioKind("crossing", 500, {}, _crossing_trials),
+    "fixture": ScenarioKind("fixtures", 5, {}, _fixture_trials),
+}
+
+
+def run_scenario(sc: Scenario) -> SweepReport:
+    """Run sc's trials, numbered in order, each timed from the end of the
+    one before; parameters missing from sc.params take the kind's defaults."""
+    kind = SCENARIOS.get(sc.kind)
+    if kind is None:
+        raise ValueError(f"unknown scenario kind {sc.kind!r}")
+    trials = int(sc.params.get("trials", kind.trials))
+    params = {name: int(sc.params.get(name, default)) for name, default in kind.params.items()}
+    records: List[TrialRecord] = []
+    t_start = t0 = time.perf_counter()
+    for t, rec in enumerate(kind.run(sc, trials, **params)):
+        now = time.perf_counter()
+        rec.trial, rec.millis = t, (now - t0) * 1000.0
+        records.append(rec)
+        t0 = now
+    return SweepReport(
+        trials=len(records),
+        passes=sum(1 for r in records if r.verdict == "pass"),
+        failures=[r.trial for r in records if r.verdict == "fail"],
+        indeterminate=sum(1 for r in records if r.verdict == "indeterminate"),
+        millis=(time.perf_counter() - t_start) * 1000.0,
+        records=records,
+    )

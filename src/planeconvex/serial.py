@@ -1,7 +1,7 @@
-"""JSON-friendly serialization of scalars, bodies, maps, and scenarios.
+"""JSON-friendly serialization of scalars, points, bodies, triangles and maps.
 
-Exact rationals round-trip as "p/q" strings; floats stay numbers.  Lattices
-export as adjacency lists for external viewers.
+Exact rationals round-trip as "p/q" strings; floats stay numbers.  ``dumps``
+writes canonical JSON (sorted keys, no spaces).
 """
 
 from __future__ import annotations

@@ -5,15 +5,12 @@ Coordinates are rounded to 1e-6 so identical inputs yield identical bytes.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional
 
 from . import serial
 from .bodies import (
     ConvexBody,
     Disk,
-    DiskIntersection,
-    HullOfUnion,
     Polygon,
     boundary_samples,
     hull_of_union,

@@ -2,9 +2,10 @@
 
 Carousel witnesses for point pairs in a triangle, the (j, k) witness search
 for body pairs, comets and their loose-inclusion check, internal tangency and
-its classification, shrink families with the maximal-parameter bisection,
-rational-disk edge-free approximation, Caratheodory-style decomposition over
-a hull of a body with two anchors, and the boundary-crossing predicate.
+its classification, shrinking a pair toward anchors with the
+maximal-parameter bisection, rational-disk edge-free approximation,
+Caratheodory-style decomposition over a hull of a body with two anchors, and
+the boundary-crossing predicate.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .bodies import (
-    BoundaryHits,
     ConvexBody,
     Disk,
     DiskIntersection,
@@ -25,11 +25,9 @@ from .bodies import (
     PointedSupportLine,
     Polygon,
     Triangle,
-    abundance,
     boundary_samples,
     chord_interval,
     contains_point,
-    convex_hull,
     dist_to_body,
     farthest_dist,
     hull_of_union,
@@ -38,12 +36,14 @@ from .bodies import (
     is_edge_free,
     polygonize,
     support_grid,
+    support_point,
     support_value,
     tangents_from_external_point,
     transform_body,
-    GRID_DIRS,
     GRID_N,
     _GRID_ANGLES,
+    _golden_min,
+    _is_singleton,
 )
 from .errors import (
     DegenerateNucleus,
@@ -61,7 +61,6 @@ from .geom import (
     Point,
     Scalar,
     Tolerance,
-    cross,
     dist,
     orient2d,
 )
@@ -185,8 +184,6 @@ def comet_build(f: Point, u: ConvexBody, tol: Tolerance = DEFAULT_TOL) -> Comet:
         raise NotExternal("focus lies in the nucleus")
     if not is_edge_free(u, tol):
         raise EdgeFreeRequired("comet nucleus must be edge-free")
-    from .bodies import _is_singleton
-
     if _is_singleton(u):
         raise DegenerateNucleus("comet nucleus must not be a singleton")
     t_right, t_left = tangents_from_external_point(u, f, tol)
@@ -244,8 +241,6 @@ def comet_loose_inclusion_check(
 def _support_face(u: ConvexBody, nx: float, ny: float, slack: float):
     """Extreme face of u in direction n as (h, lo, hi, p_lo, p_hi) where lo/hi
     are projections on the tangent direction (-ny, nx)."""
-    from .bodies import support_point
-
     tx, ty = -ny, nx
     if isinstance(u, Polygon):
         vals = [float(p.x) * nx + float(p.y) * ny for p in u.vertices]
@@ -303,24 +298,8 @@ def internally_tangent(
     step = TWO_PI / GRID_N
     for cl in clusters:
         k = min(cl, key=lambda i: gap[i])
-        lo, hi = _GRID_ANGLES[k] - step, _GRID_ANGLES[k] + step
-        # golden-section minimization of the support gap
-        invphi = (math.sqrt(5.0) - 1) / 2
-        a, b = lo, hi
-        c = b - (b - a) * invphi
-        d = a + (b - a) * invphi
-        fc, fd = gap_at(c), gap_at(d)
-        for _ in range(60):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - (b - a) * invphi
-                fc = gap_at(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + (b - a) * invphi
-                fd = gap_at(d)
-        theta = c if fc < fd else d
-        if gap_at(theta) > tol_eff:
+        theta, g = _golden_min(gap_at, _GRID_ANGLES[k] - step, _GRID_ANGLES[k] + step, 60)
+        if g > tol_eff:
             continue
         nx, ny = math.cos(theta), math.sin(theta)
         slack = tol_eff
@@ -351,8 +330,6 @@ def tangency_classify(
     u0: ConvexBody, m: PlaneMap, tol: Tolerance = DEFAULT_TOL
 ) -> TangencyClass:
     """Classify an internally tangent edge-free pair (u0, m(u0))."""
-    from .bodies import _is_singleton
-
     u1 = transform_body(m, u0)
     for u in (u0, u1):
         if not is_edge_free(u, tol):
@@ -380,44 +357,8 @@ def tangency_classify(
     return TangencyClass("CenterContact", contact=m.center, inclusion="U1_in_U0")
 
 
-def tangency_inclusion_dichotomy(
-    u0: ConvexBody,
-    m: PlaneMap,
-    p0: Point,
-    xi: Scalar,
-    tol: Tolerance = DEFAULT_TOL,
-) -> str:
-    """Which inclusion holds for an internally tangent shrunken pair."""
-    if not (0 < xi < 1):
-        raise PreconditionViolated("xi must lie strictly between 0 and 1")
-    u1 = transform_body(m, u0)
-    p1 = m.apply(p0)
-    u0x = transform_body(homothety(p0, xi), u0)
-    u1x = transform_body(homothety(p1, xi), u1)
-    if internally_tangent(u0x, u1x, tol) is None:
-        raise PreconditionViolated("shrunken copies are not internally tangent")
-    if includes(u1, u0, tol) and includes(u1x, u0x, tol):
-        return "U0_in_U1"
-    if includes(u0, u1, tol) and includes(u0x, u1x, tol):
-        return "U1_in_U0"
-    raise IndeterminateGeometry("neither inclusion pair verifies")
-
-
 # ---------------------------------------------------------------------------
-# Shrink families, trapezoids, the maximal parameter
-
-
-@dataclass(frozen=True)
-class ShrinkFamily:
-    """member(xi) = the homothetic copy of body shrunk toward anchor."""
-
-    body: ConvexBody
-    anchor: Point
-
-    def member(self, xi: Scalar) -> ConvexBody:
-        if not (0 <= xi <= 1):
-            raise PreconditionViolated("shrink parameter must lie in [0, 1]")
-        return shrink_toward(self.body, self.anchor, xi)
+# Shrinking toward an anchor, the maximal parameter
 
 
 def shrink_toward(u: ConvexBody, anchor: Point, xi: Scalar) -> ConvexBody:
@@ -426,12 +367,6 @@ def shrink_toward(u: ConvexBody, anchor: Point, xi: Scalar) -> ConvexBody:
     if xi == 1:
         return u
     return transform_body(homothety(anchor, xi), u)
-
-
-def curved_trapezoid(u0_xi: ConvexBody, a0: Point, a1: Point) -> ConvexBody:
-    """conv({a0, a1} union u0_xi)."""
-    anchors = [a0] if (a0.x == a1.x and a0.y == a1.y) else [a0, a1]
-    return hull_of_union(u0_xi, anchors)
 
 
 def max_shrink_parameter(

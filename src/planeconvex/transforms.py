@@ -175,16 +175,3 @@ def six_point_identity(e1: Point, p0: Point, x0: Point, lam: Scalar, xi: Scalar)
             back.y, x0.y, abs_tol=1e-9 * scale
         )
     return (x1, x2, x3, x4, x5), verdict
-
-
-@dataclass(frozen=True)
-class RigidMotion:
-    """Orientation-preserving isometry; used only to pose crossing experiments."""
-
-    angle: float
-    vector: Tuple[float, float]
-
-    def apply(self, p: Point) -> Point:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        x, y = float(p.x), float(p.y)
-        return Point(c * x - s * y + self.vector[0], s * x + c * y + self.vector[1])

@@ -10,12 +10,15 @@ import pytest
 
 from planeconvex import serial
 from planeconvex.bodies import Disk, DiskIntersection, Polygon, Triangle
-from planeconvex.cli import main
+from planeconvex.cli import build_parser, main
 from planeconvex.geom import Point
 from planeconvex.harness import (
+    SCENARIOS,
     Scenario,
+    _approx_bodies,
     generate_instance,
     report_to_csv,
+    run_approx_instance,
     run_scenario,
 )
 from planeconvex.rng import SplitMix64, trial_rng
@@ -119,6 +122,12 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             run_scenario(Scenario("nope", {}, seed=0))
 
+    def test_approx_budget_below_150_is_the_last_checkpoint(self):
+        """Seed 105's triangle has abundance 0.049784 < 0.05 at 100 disks; the
+        abundance at 150 disks is no checkpoint of a 100-disk budget."""
+        ok, final = run_approx_instance(_approx_bodies(105)[1][1], 100)
+        assert ok and final == pytest.approx(0.049784495, abs=1e-9)
+
 
 class TestCsvReport:
     def test_columns_and_determinism(self):
@@ -138,6 +147,23 @@ class TestCsvReport:
         sc = Scenario("theorem-sweep", {"trials": 300}, seed=101)
         csv_text = report_to_csv(run_scenario(sc), with_timing=False)
         assert hashlib.sha1(csv_text.encode()).hexdigest() == "6a2f63c4b166bac56eee62caa07e9e26ab4107d8"
+
+    @pytest.mark.parametrize(
+        "kind, params, seed, sha1",
+        [
+            ("carousel-grid", {"trials": 3, "grid": 8}, 102, "a1c642a852aa230289a52a29188340abf8093442"),
+            ("crossing-study", {"trials": 50}, 103, "9519bc8afdcc643e8c6479902b05792aa8dd5848"),
+            ("convexgeo-check", {"trials": 20}, 104, "ad3804e1b6e5c773ddecf1fd6b2fe9ea04f73034"),
+            ("approx-study", {"disks": 200}, 105, "1757b0030982c36d9840e0da1cebf352756423e6"),
+            ("approx-study", {"disks": 50}, 105, "1403a76794235bd64c75201990d21eecc5c53984"),
+            ("fixture", {}, 106, "19e23a35a2a8be8b27c02ba2362eae7ba5ab1ac3"),
+        ],
+    )
+    def test_other_kinds_csv_is_pinned(self, kind, params, seed, sha1):
+        """sha1 of each other kind's CSV in test 10's configuration (a
+        smaller carousel grid, which changes no byte)."""
+        csv_text = report_to_csv(run_scenario(Scenario(kind, params, seed)), with_timing=False)
+        assert hashlib.sha1(csv_text.encode()).hexdigest() == sha1
 
     def test_timing_column_present_by_default(self):
         sc = Scenario("theorem-sweep", {"trials": 2}, seed=21)
@@ -171,6 +197,42 @@ class TestCli:
         assert main(["render", str(f), "--out", str(out)]) == 0
         svg = out.read_text()
         assert svg.count("ray-") == 2 and svg.count("front-arc") == 1
+
+
+class TestScenarioTable:
+    # Each sweep verb's parsed defaults: the common flags and its kind's own
+    # integer parameters.  A missing --trials takes the kind's trial count.
+    COMMON = {"seed": 0, "trials": None, "eps": 1e-9, "out": None, "format": "csv"}
+    VERBS = {
+        "verify-theorem": (100, {}),
+        "carousel": (5, {"grid": 50}),
+        "approx": (2, {"disks": 200}),
+        "convexgeo": (50, {}),
+        "crossing": (500, {}),
+        "fixtures": (5, {}),
+    }
+
+    def test_verbs_and_defaults(self):
+        assert {k.verb: (k.trials, k.params) for k in SCENARIOS.values()} == self.VERBS
+        ap = build_parser()
+        for verb, (_, params) in self.VERBS.items():
+            assert vars(ap.parse_args([verb])) == {"verb": verb, **self.COMMON, **params}
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["verify-theorem", "--trials", "3"], 3),
+            (["carousel", "--grid", "3"], 5),
+            (["approx", "--seed", "105", "--disks", "100"], 2),
+            (["convexgeo"], 50),
+            (["crossing", "--trials", "3"], 3),
+            (["fixtures"], 5),
+        ],
+    )
+    def test_every_verb_runs(self, argv, rows, tmp_path):
+        out = tmp_path / "r.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == rows + 1
 
 
 class TestSvgRender:

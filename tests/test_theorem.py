@@ -1,4 +1,4 @@
-"""Witnesses, comets, tangency, shrink families, approximation, crossing."""
+"""Witnesses, comets, tangency, shrinking, approximation, crossing."""
 
 import hashlib
 import math
@@ -39,13 +39,11 @@ from planeconvex.geom import Point, Tolerance, dist, orient2d
 from planeconvex.harness import _approx_bodies
 from planeconvex.rng import SplitMix64, trial_seed
 from planeconvex.theorem import (
-    ShrinkFamily,
     Witness,
     caratheodory_decompose,
     carousel_witness,
     comet_build,
     comet_loose_inclusion_check,
-    curved_trapezoid,
     edge_free_approx,
     fejes_toth_crossing,
     internally_tangent,
@@ -53,7 +51,6 @@ from planeconvex.theorem import (
     rational_disk_enumeration,
     shrink_toward,
     tangency_classify,
-    tangency_inclusion_dichotomy,
     witness_search,
 )
 from planeconvex.transforms import IDENTITY, Translation, homothety, translation
@@ -241,72 +238,39 @@ class TestTangencyClassify:
             tangency_classify(Disk(Point(0.0, 0.0), 1.0), Translation((5, 0)))
 
 
-class TestTangencyInclusionDichotomy:
-    def test_identity_map_equality_case(self):
-        out = tangency_inclusion_dichotomy(
-            Disk(Point(F(0), F(0)), F(2)), Translation((0, 0)), Point(F(1), F(0)), F(1, 2)
-        )
-        assert out in ("U0_in_U1", "U1_in_U0")
-
-    def test_disk_pair_with_matching_shrink(self):
-        # shrinking both toward p0 = c0 and its image keeps tangency exactly
-        # when |center of the homothety - c0| = xi * r0
-        out = tangency_inclusion_dichotomy(
-            Disk(Point(F(0), F(0)), F(1)),
-            homothety(Point(F(1, 2), F(0)), F(2)),
-            Point(F(0), F(0)),
-            F(1, 2),
-        )
-        assert out == "U0_in_U1"
-
-    def test_disjoint_shrunken_pair_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            tangency_inclusion_dichotomy(
-                Disk(Point(F(0), F(0)), F(1)), Translation((10, 0)), Point(F(0), F(0)), F(1, 2)
-            )
-
-    def test_xi_out_of_range_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            tangency_inclusion_dichotomy(
-                Disk(Point(F(0), F(0)), F(1)), Translation((0, 0)), Point(F(0), F(0)), F(3, 2)
-            )
-
-
 class TestShrinkFamily:
+    """The family of copies shrink_toward(u, anchor, xi), xi in [0, 1]."""
+
     def test_xi_zero_collapses_to_anchor(self):
-        fam = ShrinkFamily(Disk(Point(F(1), F(1)), F(2)), Point(F(0), F(0)))
-        u = fam.member(F(0))
+        u = shrink_toward(Disk(Point(F(1), F(1)), F(2)), Point(F(0), F(0)), F(0))
         assert isinstance(u, Polygon) and u.vertices == (Point(F(0), F(0)),)
 
     def test_xi_one_is_the_body(self):
         d = Disk(Point(F(1), F(1)), F(2))
-        assert ShrinkFamily(d, Point(F(0), F(0))).member(F(1)) is d
+        assert shrink_toward(d, Point(F(0), F(0)), F(1)) is d
 
     def test_intermediate_member(self):
         u = shrink_toward(Disk(Point(F(2), F(0)), F(2)), Point(F(0), F(0)), F(1, 2))
         assert isinstance(u, Disk)
         assert u.center == Point(F(1), F(0)) and u.radius == F(1)
 
-    def test_out_of_range_rejected(self):
-        fam = ShrinkFamily(Disk(Point(F(0), F(0)), F(1)), Point(F(0), F(0)))
-        with pytest.raises(PreconditionViolated):
-            fam.member(F(3, 2))
-
 
 class TestCurvedTrapezoid:
+    """The curved trapezoid conv(u ∪ {a0, a1}) is hull_of_union(u, [a0, a1])."""
+
     def test_singleton_gives_triangle(self):
-        t = curved_trapezoid(Polygon((Point(F(0), F(2)),)), Point(F(-1), F(0)), Point(F(1), F(0)))
+        t = hull_of_union(Polygon((Point(F(0), F(2)),)), [Point(F(-1), F(0)), Point(F(1), F(0))])
         assert contains_point(t, Point(F(0), F(1)), "closed", Tolerance(0.0))
         assert not contains_point(t, Point(F(0), F(3)), "closed", Tolerance(0.0))
 
     def test_disk_back(self):
-        t = curved_trapezoid(Disk(Point(0.0, 2.0), 1.0), Point(-4.0, 0.0), Point(4.0, 0.0))
+        t = hull_of_union(Disk(Point(0.0, 2.0), 1.0), [Point(-4.0, 0.0), Point(4.0, 0.0)])
         assert contains_point(t, Point(0.0, 3.0))
         assert contains_point(t, Point(0.0, 0.0))
         assert not contains_point(t, Point(0.0, 3.01))
 
     def test_coincident_legs_allowed(self):
-        t = curved_trapezoid(Disk(Point(0.0, 2.0), 1.0), Point(0.0, 0.0), Point(0.0, 0.0))
+        t = hull_of_union(Disk(Point(0.0, 2.0), 1.0), [Point(0.0, 0.0), Point(0.0, 0.0)])
         assert contains_point(t, Point(0.0, 0.5))
 
 
