@@ -14,6 +14,16 @@ support value above the edge's offset (``_edge_margin``).  Only
 ``support_margin`` still searches a direction grid with local refinement,
 for HullOfUnion containers and ``point_margin``.
 
+Each primitive body (Polygon, Disk, DiskIntersection) builds its pieces once,
+as a table (``_pieces``): its points (a polygon's vertices, a disk
+intersection's corners) and its disks, each with the arcs of normal angles at
+which it bounds the body (a Disk's one disk at every angle).  Every support
+and boundary query of a primitive body is one loop over that table:
+``support_value``, ``support_grid``, ``_support_pieces``, ``support_point``,
+``farthest_dist``, ``_tangent_candidates`` and, but for a polygon's segment
+projection, ``nearest_point``.  A HullOfUnion has no table: each query
+combines its base body's answer with the extra points.
+
 Exact predicates stay exact, and are decided in float wherever a static
 error bound allows.  Point-in-polygon tests read each polygon's float
 vertices and edges, converted once; a polygon inside a polygon reads its own
@@ -91,6 +101,8 @@ class PointedSupportLine(NamedTuple):
 
 class ConvexBody:
     """Base class; all bodies are immutable values."""
+
+    _pieces_cache: Optional["_Pieces"] = None  # set by ``_pieces``, not a field
 
 
 @dataclass(frozen=True)
@@ -278,7 +290,7 @@ class _PolygonFloats:
     ``dyadic`` says whether every vertex coordinate converts exactly.
     """
 
-    __slots__ = ("edges", "dyadic", "_array")
+    __slots__ = ("edges", "dyadic")
 
     def __init__(self, xy: List[Tuple[float, float]], dyadic: bool):
         self.edges = [
@@ -286,14 +298,6 @@ class _PolygonFloats:
             for (ax, ay), (bx, by) in zip(xy, xy[1:] + xy[:1])
         ]
         self.dyadic = dyadic
-        self._array = None
-
-    @property
-    def array(self) -> np.ndarray:
-        """The vertices as an (n, 2) array."""
-        if self._array is None:
-            self._array = np.array([e[:2] for e in self.edges])
-        return self._array
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +490,8 @@ def _di_boundary(fd: _DiskFloats) -> _DIBoundary:
     Up to ``_VIOLATION_BLOCK`` disks every circle meets every other disk;
     beyond, ``_arc_filter`` drops the dead circles and the disks that cannot
     change an arc in array passes.  Corners are the arc endpoints of circles
-    that are not whole, in circle order; a corner within 1e-9 of an earlier
-    one is dropped.
+    that are not whole, in circle order, less the two ends 0 and 2 pi of an
+    arc split at angle 0; a corner within 1e-9 of an earlier one is dropped.
     """
     n = len(fd.r)
     if n > _VIOLATION_BLOCK:
@@ -546,9 +550,11 @@ def _di_boundary(fd: _DiskFloats) -> _DIBoundary:
         arcs.append((i, intervals))
         full = sum(e - s for s, e in intervals) >= TWO_PI - 1e-12
         if not full:
-            for s, e in intervals:
-                for a in (s, e):
-                    corners.append(Point(xi + ri * math.cos(a), yi + ri * math.sin(a)))
+            ends = [a for iv in intervals for a in iv]
+            if ends[0] == 0.0 and ends[-1] == TWO_PI:  # an arc split at angle 0
+                ends = ends[1:-1]
+            for a in ends:
+                corners.append(Point(xi + ri * math.cos(a), yi + ri * math.sin(a)))
     uniq: List[Point] = []
     for p in corners:
         if all(dist(p, q) > 1e-9 for q in uniq):
@@ -617,12 +623,73 @@ def _arc_filter(fd: _DiskFloats) -> Tuple[List[int], List[List[int]]]:
 _ARC_SLACK = 1e-9
 
 
-def _angle_in_intervals(a: float, intervals: List[Tuple[float, float]]) -> bool:
-    for s, e in intervals:
+# ---------------------------------------------------------------------------
+# Piece tables
+
+
+class _Pieces(NamedTuple):
+    """A primitive body's support function h(n) = max c·n + r as pieces.
+
+    ``points`` are the pieces with r = 0, as given (``xy`` their floats,
+    ``array`` the same as an (n, 2) array).  ``disks`` are the curved pieces
+    (x, y, r, arcs): a disk counts at the normal angles of ``arcs`` (a list of
+    intervals in [0, 2 pi]), or at every angle where ``arcs`` is None.
+    """
+
+    points: Sequence[Point]
+    xy: List[Tuple[float, float]]
+    array: np.ndarray
+    disks: List[Tuple[float, float, float, Optional[List[Tuple[float, float]]]]]
+
+
+def _pieces(u: ConvexBody) -> _Pieces:
+    """u's piece table, built once: a polygon's vertices; a disk whole; a
+    disk intersection's arc disks with their arcs and its corners (its
+    feasible point when no circle bounds it)."""
+    cached = u._pieces_cache
+    if cached is not None:
+        return cached
+    if isinstance(u, Polygon):
+        pts, xy, disks = u.vertices, [e[:2] for e in u.floats().edges], []
+    elif isinstance(u, Disk):
+        pts, xy, disks = (), [], [(float(u.center.x), float(u.center.y), float(u.radius), None)]
+    elif isinstance(u, DiskIntersection):
+        b, fd = u.boundary(), u.float_disks()
+        pts = b.corners if b.arcs else [u._feasible]
+        xy = [(float(p.x), float(p.y)) for p in pts]
+        disks = [(fd.x[i], fd.y[i], fd.r[i], ivs) for i, ivs in b.arcs]
+    else:
+        raise TypeError(f"unknown body {type(u)}")
+    cached = _Pieces(pts, xy, np.array(xy).reshape(-1, 2), disks)
+    object.__setattr__(u, "_pieces_cache", cached)
+    return cached
+
+
+def _on_arcs(arcs: Optional[List[Tuple[float, float]]], y: float, x: float) -> bool:
+    """Whether a disk piece counts at the angle of (x, y): always without
+    arcs, else within ``_ARC_SLACK`` of one of them."""
+    if arcs is None:
+        return True
+    a = math.atan2(y, x) % TWO_PI
+    for s, e in arcs:
         for k in (-1, 0, 1):
             if s - _ARC_SLACK <= a + k * TWO_PI <= e + _ARC_SLACK:
                 return True
     return False
+
+
+def _arc_mask(angles: np.ndarray, arcs: List[Tuple[float, float]]) -> np.ndarray:
+    """Which of ``angles`` (in [0, 2 pi)) lie on ``arcs``, with ``_ARC_SLACK``."""
+    mask = np.zeros(len(angles), dtype=bool)
+    for s, e in arcs:
+        s2, e2 = s % TWO_PI, e % TWO_PI
+        if e - s >= TWO_PI - 1e-12:
+            mask[:] = True
+        elif s2 <= e2:
+            mask |= (angles >= s2 - _ARC_SLACK) & (angles <= e2 + _ARC_SLACK)
+        else:
+            mask |= (angles >= s2 - _ARC_SLACK) | (angles <= e2 + _ARC_SLACK)
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -631,70 +698,42 @@ def _angle_in_intervals(a: float, intervals: List[Tuple[float, float]]) -> bool:
 
 def support_value(u: ConvexBody, nx: float, ny: float) -> float:
     """max over u of <x, n> for a unit direction n (float track)."""
-    if isinstance(u, Polygon):
-        return max(float(p.x) * nx + float(p.y) * ny for p in u.vertices)
-    if isinstance(u, Disk):
-        return float(u.center.x) * nx + float(u.center.y) * ny + float(u.radius)
-    if isinstance(u, DiskIntersection):
-        b = u.boundary()
-        best = -math.inf
-        a = math.atan2(ny, nx) % TWO_PI
-        for i, intervals in b.arcs:
-            d = u.disks[i]
-            if _angle_in_intervals(a, intervals):
-                best = max(best, float(d.center.x) * nx + float(d.center.y) * ny + float(d.radius))
-        for p in b.corners:
-            best = max(best, float(p.x) * nx + float(p.y) * ny)
-        if best == -math.inf:
-            p = u._feasible
-            best = float(p.x) * nx + float(p.y) * ny
-        return best
     if isinstance(u, HullOfUnion):
         best = support_value(u.base, nx, ny)
         for p in u.extra:
             best = max(best, float(p.x) * nx + float(p.y) * ny)
         return best
-    raise TypeError(f"unknown body {type(u)}")
+    t = u._pieces_cache or _pieces(u)  # the hot path of the grid refinement
+    best = -math.inf
+    for x, y, r, arcs in t.disks:
+        v = x * nx + y * ny + r
+        if v > best and _on_arcs(arcs, ny, nx):
+            best = v
+    for x, y in t.xy:
+        v = x * nx + y * ny
+        if v > best:
+            best = v
+    return best
 
 
 def support_grid(u: ConvexBody, dirs: np.ndarray = GRID_DIRS) -> np.ndarray:
     """Vectorized support values over a direction grid."""
-    if isinstance(u, Polygon):
-        V = u.floats().array
-        return (V @ dirs.T).max(axis=0)
-    if isinstance(u, Disk):
-        c = np.array([float(u.center.x), float(u.center.y)])
-        return dirs @ c + float(u.radius)
-    if isinstance(u, DiskIntersection):
-        b = u.boundary()
-        angles = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), TWO_PI)
-        out = np.full(len(dirs), -np.inf)
-        for i, intervals in b.arcs:
-            d = u.disks[i]
-            c = np.array([float(d.center.x), float(d.center.y)])
-            vals = dirs @ c + float(d.radius)
-            mask = np.zeros(len(dirs), dtype=bool)
-            for s, e in intervals:
-                s2, e2 = s % TWO_PI, e % TWO_PI
-                if e - s >= TWO_PI - 1e-12:
-                    mask[:] = True
-                elif s2 <= e2:
-                    mask |= (angles >= s2 - _ARC_SLACK) & (angles <= e2 + _ARC_SLACK)
-                else:
-                    mask |= (angles >= s2 - _ARC_SLACK) | (angles <= e2 + _ARC_SLACK)
-            out = np.where(mask, np.maximum(out, vals), out)
-        if b.corners:
-            C = np.array([(float(p.x), float(p.y)) for p in b.corners])
-            out = np.maximum(out, (C @ dirs.T).max(axis=0))
-        feas = np.array([float(u._feasible.x), float(u._feasible.y)])
-        return np.where(np.isfinite(out), out, dirs @ feas)
     if isinstance(u, HullOfUnion):
         out = support_grid(u.base, dirs)
         if u.extra:
             P = np.array([(float(p.x), float(p.y)) for p in u.extra])
             out = np.maximum(out, (P @ dirs.T).max(axis=0))
         return out
-    raise TypeError(f"unknown body {type(u)}")
+    t = _pieces(u)
+    out = (t.array @ dirs.T).max(axis=0) if t.xy else np.full(len(dirs), -np.inf)
+    angles = None
+    for x, y, r, arcs in t.disks:
+        vals = np.maximum(out, dirs @ np.array([x, y]) + r)
+        if arcs is not None:
+            angles = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), TWO_PI) if angles is None else angles
+            vals = np.where(_arc_mask(angles, arcs), vals, out)
+        out = vals
+    return out
 
 
 def tie_directions(c1: np.ndarray, r1: np.ndarray, c2: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -730,24 +769,6 @@ def _support_pieces(u: ConvexBody) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     piece changes only at one of the returned breakpoint directions (a
     superset: arc endpoints, edge normals, ties of extra points).
     """
-    if isinstance(u, Polygon):
-        V = u.floats().array
-        zero = np.zeros(len(V))
-        return V, zero, tie_directions(V, zero, np.roll(V, -1, axis=0), zero)
-    if isinstance(u, Disk):
-        C = np.array([[float(u.center.x), float(u.center.y)]])
-        return C, np.array([float(u.radius)]), np.empty((0, 2))
-    if isinstance(u, DiskIntersection):
-        b = u.boundary()
-        arcs = [u.disks[i] for i, _ in b.arcs]
-        pts = b.corners if arcs else [u._feasible]
-        C = np.array(
-            [(float(d.center.x), float(d.center.y)) for d in arcs]
-            + [(float(p.x), float(p.y)) for p in pts]
-        )
-        R = np.array([float(d.radius) for d in arcs] + [0.0] * len(pts))
-        ends = np.array([a for _, ivs in b.arcs for iv in ivs for a in iv])
-        return C, R, np.stack([np.cos(ends), np.sin(ends)], axis=1)
     if isinstance(u, HullOfUnion):
         C, R, B = _support_pieces(u.base)
         P = np.array([(float(p.x), float(p.y)) for p in u.extra]).reshape(-1, 2)
@@ -756,7 +777,14 @@ def _support_pieces(u: ConvexBody) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         i, j = np.divmod(np.arange(len(P) * len(C)), len(C))
         ties = tie_directions(P[i], np.zeros(len(i)), C[j], R[j])
         return C, R, np.concatenate([B, ties])
-    raise TypeError(f"unknown body {type(u)}")
+    t = _pieces(u)
+    P, zero = t.array, np.zeros(len(t.xy))
+    C = np.concatenate([np.array([d[:2] for d in t.disks]).reshape(-1, 2), P])
+    R = np.concatenate([[d[2] for d in t.disks], zero])
+    if not t.disks:  # a polygon: its edge normals
+        return C, R, tie_directions(P, zero, np.roll(P, -1, axis=0), zero)
+    ends = np.array([a for *_, arcs in t.disks if arcs is not None for iv in arcs for a in iv])
+    return C, R, np.stack([np.cos(ends), np.sin(ends)], axis=1)
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 48) -> Tuple[float, float]:
@@ -979,41 +1007,19 @@ def loosely_includes(v2: ConvexBody, v1: ConvexBody, tol: Tolerance = DEFAULT_TO
 
 def support_point(u: ConvexBody, nx: float, ny: float) -> Point:
     """Canonical maximizer of <x, n>: lexicographic minimum among ties."""
-    if isinstance(u, Polygon):
-        return _lex_min_maximizer(u.vertices, nx, ny)
-    if isinstance(u, Disk):
-        n = math.hypot(nx, ny)
-        return Point(
-            float(u.center.x) + float(u.radius) * nx / n,
-            float(u.center.y) + float(u.radius) * ny / n,
-        )
-    if isinstance(u, DiskIntersection):
-        b = u.boundary()
-        a = math.atan2(ny, nx) % TWO_PI
-        best = None
-        best_val = -math.inf
-        n = math.hypot(nx, ny)
-        for i, intervals in b.arcs:
-            d = u.disks[i]
-            if _angle_in_intervals(a, intervals):
-                p = Point(
-                    float(d.center.x) + float(d.radius) * nx / n,
-                    float(d.center.y) + float(d.radius) * ny / n,
-                )
-                v = float(p.x) * nx + float(p.y) * ny
-                if v > best_val:
-                    best, best_val = p, v
-        for p in b.corners:
-            v = float(p.x) * nx + float(p.y) * ny
-            if v > best_val + 1e-12 * max(1.0, abs(best_val)):
-                best, best_val = p, v
-        if best is None:
-            best = u._feasible
-        return best
+    return _lex_min_maximizer(_support_candidates(u, nx, ny), nx, ny)
+
+
+def _support_candidates(u: ConvexBody, nx: float, ny: float) -> List[Point]:
+    """Points of u among which its maximizers of <x, n> lie: the extreme
+    point of each disk piece that counts at n, then the point pieces; for a
+    HullOfUnion, the base's support point and the extra points."""
     if isinstance(u, HullOfUnion):
-        cands = [support_point(u.base, nx, ny)] + list(u.extra)
-        return _lex_min_maximizer(cands, nx, ny)
-    raise TypeError(f"unknown body {type(u)}")
+        return [support_point(u.base, nx, ny)] + list(u.extra)
+    t = _pieces(u)
+    n = math.hypot(nx, ny)
+    out = [Point(x + r * nx / n, y + r * ny / n) for x, y, r, arcs in t.disks if _on_arcs(arcs, ny, nx)]
+    return out + list(t.points)
 
 
 def _lex_min_maximizer(pts, nx: float, ny: float) -> Point:
@@ -1056,34 +1062,6 @@ def nearest_point(u: ConvexBody, p: Point) -> Point:
             if dq < bd:
                 best, bd = q, dq
         return best
-    if isinstance(u, Disk):
-        dv = (float(p.x) - float(u.center.x), float(p.y) - float(u.center.y))
-        n = math.hypot(*dv)
-        if n == 0:
-            return Point(float(u.center.x) + float(u.radius), float(u.center.y))
-        r = float(u.radius)
-        return Point(float(u.center.x) + r * dv[0] / n, float(u.center.y) + r * dv[1] / n)
-    if isinstance(u, DiskIntersection):
-        b = u.boundary()
-        best, bd = None, math.inf
-        for i, intervals in b.arcs:
-            d = u.disks[i]
-            ang = math.atan2(float(p.y) - float(d.center.y), float(p.x) - float(d.center.x)) % TWO_PI
-            if _angle_in_intervals(ang, intervals):
-                q = Point(
-                    float(d.center.x) + float(d.radius) * math.cos(ang),
-                    float(d.center.y) + float(d.radius) * math.sin(ang),
-                )
-                dq = dist(p, q)
-                if dq < bd:
-                    best, bd = q, dq
-        for q in b.corners:
-            dq = dist(p, q)
-            if dq < bd:
-                best, bd = q, dq
-        if best is None:
-            best = u._feasible
-        return best
     if isinstance(u, HullOfUnion):
         # maximize <p,n> - h(n) over the direction grid, then refine
         hp = GRID_DIRS @ np.array([float(p.x), float(p.y)])
@@ -1102,7 +1080,17 @@ def nearest_point(u: ConvexBody, p: Point) -> Point:
             t, dbest = _GRID_ANGLES[k], float(m[k])
         nx, ny = math.cos(t), math.sin(t)
         return Point(float(p.x) - dbest * nx, float(p.y) - dbest * ny)
-    raise TypeError(f"unknown body {type(u)}")
+    t = _pieces(u)
+    px, py = float(p.x), float(p.y)
+    cands = []
+    for x, y, r, arcs in t.disks:
+        dx, dy = px - x, py - y
+        n = math.hypot(dx, dy)
+        if n == 0:
+            dx, n = 1.0, 1.0
+        if _on_arcs(arcs, dy, dx):
+            cands.append(Point(x + r * dx / n, y + r * dy / n))
+    return min(cands + list(t.points), key=lambda q: dist(p, q))
 
 
 def dist_to_body(u: ConvexBody, p: Point, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -1113,31 +1101,16 @@ def dist_to_body(u: ConvexBody, p: Point, tol: Tolerance = DEFAULT_TOL) -> float
 
 def farthest_dist(u: ConvexBody, c: Point) -> float:
     """Covering radius of u from c: max over u of the distance to c."""
-    if isinstance(u, Polygon):
-        return max(dist(c, v) for v in u.vertices)
-    if isinstance(u, Disk):
-        return dist(c, u.center) + float(u.radius)
-    if isinstance(u, DiskIntersection):
-        b = u.boundary()
-        best = dist(c, u._feasible)
-        for i, intervals in b.arcs:
-            d = u.disks[i]
-            ang = math.atan2(float(d.center.y) - float(c.y), float(d.center.x) - float(c.x)) % TWO_PI
-            if _angle_in_intervals(ang, intervals):
-                q = Point(
-                    float(d.center.x) + float(d.radius) * math.cos(ang),
-                    float(d.center.y) + float(d.radius) * math.sin(ang),
-                )
-                best = max(best, dist(c, q))
-        for q in b.corners:
-            best = max(best, dist(c, q))
-        return best
     if isinstance(u, HullOfUnion):
         best = farthest_dist(u.base, c)
         for p in u.extra:
             best = max(best, dist(c, p))
         return best
-    raise TypeError(f"unknown body {type(u)}")
+    t = _pieces(u)
+    cx, cy = float(c.x), float(c.y)
+    # A circle's farthest point from c lies on the ray from c through its centre.
+    far = [math.hypot(x - cx, y - cy) + r for x, y, r, arcs in t.disks if _on_arcs(arcs, y - cy, x - cx)]
+    return max(far + [dist(c, q) for q in t.points])
 
 
 def separating_support_line(u: ConvexBody, p: Point, tol: Tolerance = DEFAULT_TOL) -> PointedSupportLine:
@@ -1221,53 +1194,31 @@ def tangents_from_external_point(
 
 
 def _is_singleton(u: ConvexBody) -> bool:
-    if isinstance(u, Polygon):
-        return len(u.vertices) == 1
-    if isinstance(u, Disk):
-        return u.radius == 0
-    if isinstance(u, DiskIntersection):
-        b = u.boundary()
-        return not b.arcs and not b.corners
     if isinstance(u, HullOfUnion):
-        return _is_singleton(u.base) and all(
-            dist(p, interior_point(u.base)) < 1e-12 for p in u.extra
-        )
-    return False
-
-
-def _circle_tangent_points(c: Point, r: float, f: Point) -> List[Point]:
-    dx, dy = float(f.x) - float(c.x), float(f.y) - float(c.y)
-    d = math.hypot(dx, dy)
-    if d <= r:
-        return []
-    beta = math.atan2(dy, dx)
-    alpha = math.acos(r / d)
-    return [
-        Point(float(c.x) + r * math.cos(beta + s * alpha), float(c.y) + r * math.sin(beta + s * alpha))
-        for s in (1.0, -1.0)
-    ]
+        return _is_singleton(u.base) and all(dist(p, interior_point(u.base)) < 1e-12 for p in u.extra)
+    t = _pieces(u)
+    return len(t.points) <= 1 and all(r == 0.0 for _, _, r, _ in t.disks)
 
 
 def _tangent_candidates(u: ConvexBody, f: Point) -> List[Point]:
-    if isinstance(u, Polygon):
-        return list(u.vertices)
-    if isinstance(u, Disk):
-        return _circle_tangent_points(u.center, float(u.radius), f)
-    if isinstance(u, DiskIntersection):
-        b = u.boundary()
-        out = list(b.corners)
-        for i, intervals in b.arcs:
-            d = u.disks[i]
-            for t in _circle_tangent_points(d.center, float(d.radius), f):
-                ang = math.atan2(float(t.y) - float(d.center.y), float(t.x) - float(d.center.x)) % TWO_PI
-                if _angle_in_intervals(ang, intervals):
-                    out.append(t)
-        return out
+    """The points of u that a tangent from f can touch: the point pieces,
+    and each disk piece's two tangent points from f that lie on its arcs."""
     if isinstance(u, HullOfUnion):
-        out = _tangent_candidates(u.base, f)
-        out.extend(u.extra)
-        return out
-    raise TypeError(f"unknown body {type(u)}")
+        return _tangent_candidates(u.base, f) + list(u.extra)
+    t = _pieces(u)
+    fx, fy = float(f.x), float(f.y)
+    out = list(t.points)
+    for x, y, r, arcs in t.disks:
+        d = math.hypot(fx - x, fy - y)
+        if d <= r:
+            continue
+        beta = math.atan2(fy - y, fx - x)
+        alpha = math.acos(r / d)
+        for a in (beta + alpha, beta - alpha):
+            ca, sa = math.cos(a), math.sin(a)
+            if _on_arcs(arcs, sa, ca):
+                out.append(Point(x + r * ca, y + r * sa))
+    return out
 
 
 # ---------------------------------------------------------------------------

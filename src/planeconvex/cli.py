@@ -1,8 +1,10 @@
 """Command-line front end.
 
 One verb per scenario kind of ``harness.SCENARIOS`` (verify-theorem,
-carousel, approx, convexgeo, crossing, fixtures), plus render.  Exit code 0
-when every trial passes, 1 when failures are present, 2 on usage errors.
+carousel, approx, convexgeo, crossing, fixtures), plus render.  Only the
+kinds with a trial count take ``--trials``; approx and fixtures run a fixed
+set of bodies.  Exit code 0 when every trial passes, 1 when failures are
+present, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from .harness import SCENARIOS, Scenario, SweepReport, report_to_csv, run_scenar
 from .svgrender import render_svg
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, trials: bool):
     p.add_argument("--seed", type=int, default=0, help="64-bit scenario seed")
-    p.add_argument("--trials", type=int, default=None, help="number of trials")
+    if trials:
+        p.add_argument("--trials", type=int, default=None, help="number of trials")
     p.add_argument("--eps", type=float, default=1e-9, help="geometric tolerance")
     p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=["csv", "txt"], default="csv")
@@ -32,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
     for kind in SCENARIOS.values():
         p = sub.add_parser(kind.verb)
-        _add_common(p)
+        _add_common(p, kind.trials is not None)
         for name, default in kind.params.items():
             p.add_argument(f"--{name}", type=int, default=default)
     pr = sub.add_parser("render", help="render an instance file to SVG")
@@ -80,7 +83,7 @@ def main(argv=None) -> int:
 
     name, kind = next((name, kind) for name, kind in SCENARIOS.items() if kind.verb == args.verb)
     params = {p: getattr(args, p) for p in kind.params}
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         params["trials"] = args.trials
     report = run_scenario(Scenario(kind=name, params=params, seed=args.seed, eps=args.eps))
     text = report_to_csv(report) if args.format == "csv" else _report_txt(report)

@@ -374,7 +374,8 @@ def _crossing_trials(sc: Scenario, trials: int) -> Iterator[TrialRecord]:
     for seed, inst in _seeded(sc, trials):
         d0 = serial.body_from_json(inst["body0"])
         d1 = serial.body_from_json(inst["body1"])
-        yield TrialRecord(0, sc.kind, seed, _verdict(not fejes_toth_crossing(d0, d1, Tolerance(sc.eps))))
+        ok = not fejes_toth_crossing(d0, d1, Tolerance(sc.eps))
+        yield TrialRecord(0, sc.kind, seed, _verdict(ok), eps_used=sc.eps)
 
 
 def _convexgeo_trials(sc: Scenario, trials: int) -> Iterator[TrialRecord]:
@@ -382,22 +383,22 @@ def _convexgeo_trials(sc: Scenario, trials: int) -> Iterator[TrialRecord]:
         yield TrialRecord(0, sc.kind, seed, run_convexgeo_instance(inst))
 
 
-def _approx_trials(sc: Scenario, trials: int, disks: int) -> Iterator[TrialRecord]:
-    """The square and the seed's triangle, whatever the trial count."""
+def _approx_trials(sc: Scenario, disks: int) -> Iterator[TrialRecord]:
+    """The square and the seed's triangle."""
     for _, u in _approx_bodies(sc.seed):
         ok, final = run_approx_instance(u, disks)
         yield TrialRecord(0, sc.kind, sc.seed, _verdict(ok), xi_max=final)
 
 
-def _fixture_trials(sc: Scenario, trials: int) -> Iterator[TrialRecord]:
-    """The five committed fixtures, whatever the trial count."""
+def _fixture_trials(sc: Scenario) -> Iterator[TrialRecord]:
+    """The five committed fixtures."""
     from . import fixtures
     from .convexgeo import shapes_closure_system, m3_lattice, is_join_distributive
     from .errors import EdgeFreeRequired
     from .theorem import internally_tangent, tangency_classify
 
     def record(ok: bool) -> TrialRecord:
-        return TrialRecord(0, sc.kind, sc.seed, _verdict(ok))
+        return TrialRecord(0, sc.kind, sc.seed, _verdict(ok), eps_used=sc.eps)
 
     # rectangle pair: internally tangent, yet classification must refuse
     rect = fixtures.rectangle()
@@ -434,12 +435,12 @@ def _fixture_trials(sc: Scenario, trials: int) -> Iterator[TrialRecord]:
 
 
 class ScenarioKind(NamedTuple):
-    """A sweep kind: its CLI verb, default trial count, extra integer
-    parameters with their defaults, and ``run(sc, trials, **params)``, which
-    yields one record per trial."""
+    """A sweep kind: its CLI verb, default trial count (None for a kind
+    whose trials are fixed), extra integer parameters with their defaults,
+    and ``run(sc, [trials,] **params)``, which yields one record per trial."""
 
     verb: str
-    trials: int
+    trials: Optional[int]
     params: Dict[str, int]
     run: Callable[..., Iterator[TrialRecord]]
 
@@ -447,10 +448,10 @@ class ScenarioKind(NamedTuple):
 SCENARIOS: Dict[str, ScenarioKind] = {
     "theorem-sweep": ScenarioKind("verify-theorem", 100, {}, _theorem_trials),
     "carousel-grid": ScenarioKind("carousel", 5, {"grid": 50}, _carousel_trials),
-    "approx-study": ScenarioKind("approx", 2, {"disks": 200}, _approx_trials),
+    "approx-study": ScenarioKind("approx", None, {"disks": 200}, _approx_trials),
     "convexgeo-check": ScenarioKind("convexgeo", 50, {}, _convexgeo_trials),
     "crossing-study": ScenarioKind("crossing", 500, {}, _crossing_trials),
-    "fixture": ScenarioKind("fixtures", 5, {}, _fixture_trials),
+    "fixture": ScenarioKind("fixtures", None, {}, _fixture_trials),
 }
 
 
@@ -460,11 +461,12 @@ def run_scenario(sc: Scenario) -> SweepReport:
     kind = SCENARIOS.get(sc.kind)
     if kind is None:
         raise ValueError(f"unknown scenario kind {sc.kind!r}")
-    trials = int(sc.params.get("trials", kind.trials))
     params = {name: int(sc.params.get(name, default)) for name, default in kind.params.items()}
+    if kind.trials is not None:
+        params["trials"] = int(sc.params.get("trials", kind.trials))
     records: List[TrialRecord] = []
     t_start = t0 = time.perf_counter()
-    for t, rec in enumerate(kind.run(sc, trials, **params)):
+    for t, rec in enumerate(kind.run(sc, **params)):
         now = time.perf_counter()
         rec.trial, rec.millis = t, (now - t0) * 1000.0
         records.append(rec)

@@ -21,7 +21,6 @@ from .bodies import (
     ConvexBody,
     Disk,
     DiskIntersection,
-    HullOfUnion,
     PointedSupportLine,
     Polygon,
     Triangle,
@@ -44,6 +43,7 @@ from .bodies import (
     _GRID_ANGLES,
     _golden_min,
     _is_singleton,
+    _support_candidates,
 )
 from .errors import (
     DegenerateNucleus,
@@ -238,31 +238,14 @@ def comet_loose_inclusion_check(
 # Internal tangency
 
 
-def _support_face(u: ConvexBody, nx: float, ny: float, slack: float):
-    """Extreme face of u in direction n as (h, lo, hi, p_lo, p_hi) where lo/hi
-    are projections on the tangent direction (-ny, nx)."""
-    tx, ty = -ny, nx
-    if isinstance(u, Polygon):
-        vals = [float(p.x) * nx + float(p.y) * ny for p in u.vertices]
-        h = max(vals)
-        face = [p for p, v in zip(u.vertices, vals) if v >= h - slack]
-        proj = [(float(p.x) * tx + float(p.y) * ty, p) for p in face]
-        proj.sort(key=lambda t: t[0])
-        return h, proj[0][0], proj[-1][0], proj[0][1], proj[-1][1]
-    if isinstance(u, HullOfUnion):
-        cands = [support_point(u.base, nx, ny)] + list(u.extra)
-        vals = [float(p.x) * nx + float(p.y) * ny for p in cands]
-        h = support_value(u, nx, ny)
-        face = [p for p, v in zip(cands, vals) if v >= h - slack]
-        if not face:
-            face = [support_point(u, nx, ny)]
-        proj = [(float(p.x) * tx + float(p.y) * ty, p) for p in face]
-        proj.sort(key=lambda t: t[0])
-        return h, proj[0][0], proj[-1][0], proj[0][1], proj[-1][1]
-    p = support_point(u, nx, ny)
-    h = float(p.x) * nx + float(p.y) * ny
-    t = float(p.x) * tx + float(p.y) * ty
-    return h, t, t, p, p
+def _support_face(u: ConvexBody, nx: float, ny: float, slack: float) -> Tuple[float, float]:
+    """Extreme face of u in direction n, as the interval (lo, hi) of the
+    projections on the tangent direction (-ny, nx) of u's support candidates
+    within slack of h_u(n)."""
+    h = support_value(u, nx, ny)
+    face = [p for p in _support_candidates(u, nx, ny) if float(p.x) * nx + float(p.y) * ny >= h - slack]
+    proj = [float(p.x) * -ny + float(p.y) * nx for p in face or [support_point(u, nx, ny)]]
+    return min(proj), max(proj)
 
 
 def internally_tangent(
@@ -303,8 +286,8 @@ def internally_tangent(
             continue
         nx, ny = math.cos(theta), math.sin(theta)
         slack = tol_eff
-        _, lo0, hi0, p0lo, p0hi = _support_face(u0, nx, ny, slack)
-        _, lo1, hi1, p1lo, p1hi = _support_face(u1, nx, ny, slack)
+        lo0, hi0 = _support_face(u0, nx, ny, slack)
+        lo1, hi1 = _support_face(u1, nx, ny, slack)
         olo, ohi = max(lo0, lo1), min(hi0, hi1)
         if ohi < olo - tol_eff:
             continue

@@ -131,9 +131,11 @@ def brute_force_di_boundary(disks: Sequence[Disk]):
         arcs.append((i, intervals))
         full = sum(e - s for s, e in intervals) >= TWO_PI - 1e-12
         if not full:
-            for s, e in intervals:
-                for a in (s, e):
-                    corners.append(Point(xi + ri * math.cos(a), yi + ri * math.sin(a)))
+            ends = [a for iv in intervals for a in iv]
+            if ends[0] == 0.0 and ends[-1] == TWO_PI:  # an arc split at angle 0
+                ends = ends[1:-1]
+            for a in ends:
+                corners.append(Point(xi + ri * math.cos(a), yi + ri * math.sin(a)))
     uniq = []
     for p in corners:
         if all(dist(p, q) > 1e-9 for q in uniq):

@@ -381,7 +381,7 @@ class TestEdgeMargin:
     @given(st.integers(0, 2**32))
     def test_matches_dense_directions(self, seed):
         tri, body = self.triangle_and_body(SplitMix64(seed))
-        V = tri.floats().array
+        V = bodies._pieces(tri).array
         # The triangle's support function has its kinks at the edge normals;
         # elsewhere the difference is smooth and the dense grid is within
         # about 4e-7 of its minimum.
@@ -766,6 +766,8 @@ class TestDiskIntersectionInternals:
     # A zero-radius disk on the other circle, off the float grid: acos of a t
     # rounded just below 1 once left a sliver arc with corners 1.2e-7 away.
     @example([Disk(Point(F(0), F(-8, 3)), F(17, 3)), Disk(Point(F(85, 39), F(-308, 39)), F(0))])
+    # Circle 0's arc runs past angle 0; the split point (1, 0) is no corner.
+    @example([Disk(Point(F(0), F(0)), F(1)), Disk(Point(F(2), F(0)), F(3, 2))])
     def test_boundary_corners_and_arcs_lie_on_the_body(self, disks):
         try:
             di = DiskIntersection(tuple(disks))
@@ -778,13 +780,10 @@ class TestDiskIntersectionInternals:
             return [math.hypot(x - cx, y - cy) - r for cx, cy, r in zip(X, Y, R)]
 
         b = di.boundary()
-        # An arc that runs past angle 0 is split there, and that split point
-        # is listed among the corners although it lies on one circle only.
-        splits = {(X[i] + R[i], Y[i]) for i, ivs in b.arcs if len(ivs) > 1}
         for p in b.corners:
             g = gaps(p.x, p.y)
             assert max(g) <= 1e-9
-            assert sum(abs(x) <= 1e-9 for x in g) >= 2 or (p.x, p.y) in splits
+            assert sum(abs(x) <= 1e-9 for x in g) >= 2
         for i, ivs in b.arcs:
             for s, e in ivs:
                 m = 0.5 * (s + e)
@@ -907,6 +906,50 @@ class TestNearestPointOracle:
         q = nearest_point(u, p)
         assert abs(dist(p, q) - d) <= 1e-6
         assert float((dirs @ [float(q.x), float(q.y)] - hu).max()) <= 1e-6
+
+
+def piece_table_bodies(seed: int):
+    """One body of each kind: a rational polygon, a disk, a disk
+    intersection, and a HullOfUnion of each curved kind with two points."""
+    rng = SplitMix64(seed)
+    polygon = convex_hull([rational_point(rng, -4, 4, 4) for _ in range(5)])
+    disk = Disk(rational_point(rng, -4, 4, 4), F(rng.randint(1, 12), 4))
+    di = random_disk_intersection(rng)
+    extra = [tuple(rational_point(rng, -6, 6, 4) for _ in range(2)) for _ in range(2)]
+    return [polygon, disk, di, HullOfUnion(disk, extra[0]), HullOfUnion(di, extra[1])]
+
+
+class TestPieceTableOracle:
+    """Every support and boundary query of a body against another one."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_queries_agree(self, seed):
+        angles = np.arange(64) * (2 * math.pi / 64) + 0.01 * (seed % 7)
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        for u in piece_table_bodies(seed):
+            c = interior_point(u)
+            R = farthest_dist(u, c)
+            scale = max(1.0, R + abs(float(c.x)) + abs(float(c.y)))
+            grid = support_grid(u, dirs)
+            for (nx, ny), h in zip(dirs.tolist(), grid.tolist()):
+                assert abs(h - support_value(u, nx, ny)) <= 1e-12 * scale
+            for nx, ny in dirs[::8].tolist():
+                p = support_point(u, nx, ny)
+                assert abs(float(p.x) * nx + float(p.y) * ny - support_value(u, nx, ny)) <= 1e-9 * scale
+                assert contains_point(u, p, "closed", Tolerance(1e-9 * scale))
+            # The farthest point is an extreme point, which the samples come
+            # within 1e-5 of the scale of.
+            samples = boundary_samples(u, 2048)
+            far = max(dist(c, q) for q in samples)
+            assert far - 1e-9 * scale <= R <= far + 1e-5 * scale
+            if bodies._is_singleton(u):
+                continue
+            f = Point(float(c.x) + 2 * R + 1, float(c.y))
+            for psl in tangents_from_external_point(u, f):
+                nx, ny = psl.line.d.right_normal().unit()
+                t = psl.support
+                assert abs(support_value(u, nx, ny) - (float(t.x) * nx + float(t.y) * ny)) <= 1e-9 * scale
 
 
 class TestBoundarySamples:

@@ -186,6 +186,11 @@ class TestCli:
         text = capsys.readouterr().out
         assert "trials: 5" in text and "passes: 5" in text
 
+    def test_crossing_rows_record_eps(self, capsys):
+        assert main(["crossing", "--trials", "2", "--eps", "1e-6"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [r[7] for r in rows[1:]] == ["1e-06", "1e-06"]
+
     def test_usage_error_exit_two(self):
         assert main(["no-such-verb"]) == 2
 
@@ -201,22 +206,29 @@ class TestCli:
 
 class TestScenarioTable:
     # Each sweep verb's parsed defaults: the common flags and its kind's own
-    # integer parameters.  A missing --trials takes the kind's trial count.
-    COMMON = {"seed": 0, "trials": None, "eps": 1e-9, "out": None, "format": "csv"}
+    # integer parameters.  A kind with a trial count takes --trials, and a
+    # missing --trials takes that count; approx and fixtures take none.
+    COMMON = {"seed": 0, "eps": 1e-9, "out": None, "format": "csv"}
     VERBS = {
         "verify-theorem": (100, {}),
         "carousel": (5, {"grid": 50}),
-        "approx": (2, {"disks": 200}),
+        "approx": (None, {"disks": 200}),
         "convexgeo": (50, {}),
         "crossing": (500, {}),
-        "fixtures": (5, {}),
+        "fixtures": (None, {}),
     }
 
     def test_verbs_and_defaults(self):
         assert {k.verb: (k.trials, k.params) for k in SCENARIOS.values()} == self.VERBS
         ap = build_parser()
-        for verb, (_, params) in self.VERBS.items():
-            assert vars(ap.parse_args([verb])) == {"verb": verb, **self.COMMON, **params}
+        for verb, (trials, params) in self.VERBS.items():
+            flags = {**self.COMMON, **params} if trials is None else {**self.COMMON, "trials": None, **params}
+            assert vars(ap.parse_args([verb])) == {"verb": verb, **flags}
+
+    @pytest.mark.parametrize("verb", ["approx", "fixtures"])
+    def test_fixed_kinds_refuse_trials(self, verb, capsys):
+        assert main([verb, "--trials", "7"]) == 2
+        assert "--trials" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, rows",
