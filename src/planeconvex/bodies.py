@@ -4,15 +4,16 @@ Four representations: Polygon (possibly degenerate: a point or a segment),
 Disk, DiskIntersection (nonempty, edge-free), and HullOfUnion (lazy hull of a
 body with finitely many extra points).  Queries follow a dual strategy:
 exact rational predicates wherever the data allows, support-function
-comparison for curved pairs.  Every support function is an upper envelope of
-pieces c·n + r (a disk, or a point with r = 0), so the extremum of a
-difference of two of them lies at a finite set of critical directions: the
-envelopes' breakpoints and one stationary direction per pair of pieces.
-``abundance`` takes its maximum there in closed form.  A polygon of at
-least 3 vertices holds a curved body iff no edge normal n_e has the body's
-support value above the edge's offset (``_edge_margin``).  Only
-``support_margin`` still searches a direction grid with local refinement,
-for HullOfUnion containers and ``point_margin``.
+comparison for curved pairs.  Every support function is an upper envelope
+of pieces c·n + r (a disk, or a point with r = 0), so every extremum of a
+difference of two of them, and every contact of two bodies, lies at a finite
+set of critical directions: the envelopes' breakpoints and ±(c_i - c_j)/|c_i
+- c_j| per pair of pieces.  ``abundance``, ``point_margins`` and
+``theorem.internally_tangent`` read that set, and a HullOfUnion's chord ends
+where its line crosses a circle piece or a breakpoint's supporting line.  A
+polygon of at least 3 vertices holds a curved body iff no edge normal n_e has
+the body's support value above the edge's offset (``_edge_margin``).  Only
+``support_margin`` still searches a direction grid with local refinement.
 
 Each primitive body (Polygon, Disk, DiskIntersection) builds its pieces once,
 as a table (``_pieces``): its points (a polygon's vertices, a disk
@@ -88,7 +89,7 @@ from .transforms import PlaneMap
 
 TWO_PI = 2.0 * math.pi
 
-# Direction grid shared by all support-function comparisons.
+# The direction grid of ``support_margin``.
 GRID_N = 720
 _GRID_ANGLES = np.arange(GRID_N) * (TWO_PI / GRID_N)
 GRID_DIRS = np.stack([np.cos(_GRID_ANGLES), np.sin(_GRID_ANGLES)], axis=1)
@@ -716,8 +717,8 @@ def support_value(u: ConvexBody, nx: float, ny: float) -> float:
     return best
 
 
-def support_grid(u: ConvexBody, dirs: np.ndarray = GRID_DIRS) -> np.ndarray:
-    """Vectorized support values over a direction grid."""
+def support_grid(u: ConvexBody, dirs: np.ndarray) -> np.ndarray:
+    """Vectorized support values over the rows of ``dirs``."""
     if isinstance(u, HullOfUnion):
         out = support_grid(u.base, dirs)
         if u.extra:
@@ -787,14 +788,25 @@ def _support_pieces(u: ConvexBody) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return C, R, np.stack([np.cos(ends), np.sin(ends)], axis=1)
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 48) -> Tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi], as (argmin, value)."""
+def _critical_directions(a: ConvexBody, b: ConvexBody) -> np.ndarray:
+    """Unit directions holding every extremum of h_a - h_b: both envelopes'
+    breakpoints and, between them, where (c_i - c_j)·n + r_i - r_j of one
+    piece of each is stationary, ±(c_i - c_j)/|c_i - c_j|; and (1, 0), for
+    a pair with neither."""
+    Ca, _, Ba = _support_pieces(a)
+    Cb, _, Bb = _support_pieces(b)
+    peaks = unit_directions((Ca[:, None, :] - Cb[None, :, :]).reshape(-1, 2))
+    return np.concatenate([Ba, Bb, peaks, -peaks, [(1.0, 0.0)]])
+
+
+def _golden_min(f, lo: float, hi: float) -> float:
+    """Golden-section minimum of f on [lo, hi] (its value)."""
     invphi = (math.sqrt(5.0) - 1) / 2
     a, b = lo, hi
     c = b - (b - a) * invphi
     d = a + (b - a) * invphi
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(48):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * invphi
@@ -803,12 +815,12 @@ def _golden_min(f, lo: float, hi: float, iters: int = 48) -> Tuple[float, float]
             a, c, fc = c, d, fd
             d = a + (b - a) * invphi
             fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+    return fc if fc < fd else fd
 
 
 def support_margin(a: ConvexBody, b: ConvexBody) -> float:
     """min over directions of h_a - h_b; >= 0 iff b is included in a."""
-    m = support_grid(a) - support_grid(b)
+    m = support_grid(a, GRID_DIRS) - support_grid(b, GRID_DIRS)
     k = int(np.argmin(m))
     grid_min = float(m[k])
     lo = _GRID_ANGLES[k] - TWO_PI / GRID_N
@@ -818,12 +830,24 @@ def support_margin(a: ConvexBody, b: ConvexBody) -> float:
         nx, ny = math.cos(theta), math.sin(theta)
         return support_value(a, nx, ny) - support_value(b, nx, ny)
 
-    return min(grid_min, _golden_min(f, lo, hi)[1])
+    return min(grid_min, _golden_min(f, lo, hi))
 
 
-def point_margin(u: ConvexBody, p: Point) -> float:
-    """min over directions of h_u - <p, n>; >= 0 iff p in u."""
-    return support_margin(u, Polygon((p,)))
+def point_margins(u: ConvexBody, xy) -> Tuple[np.ndarray, np.ndarray]:
+    """For each point x, a row of the (m, 2) float array ``xy``, the margin
+    min over directions of h_u(n) - <x, n> (>= 0 iff x in u) and a unit
+    direction attaining it.  Between u's breakpoints the margin's function is
+    (c_i - x)·n + r_i for one piece, least at an end or at n = (x - c_i)/|x -
+    c_i|, so the minimum is taken over those directions in closed form."""
+    X = np.asarray(xy, dtype=float).reshape(-1, 2)
+    C, _, B = _support_pieces(u)
+    D = X[:, None, :] - C[None, :, :]
+    length = np.hypot(D[..., 0], D[..., 1])[..., None]
+    D = np.where(length > 0, D, (1.0, 0.0)) / np.where(length > 0, length, 1.0)
+    dirs = np.concatenate([np.broadcast_to(B, (len(X),) + B.shape), D], axis=1)
+    m = support_grid(u, dirs.reshape(-1, 2)).reshape(len(X), -1) - np.einsum("ikj,ij->ik", dirs, X)
+    rows, k = np.arange(len(X)), m.argmin(axis=1)
+    return m[rows, k], dirs[rows, k]
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +874,7 @@ def contains_point(u: ConvexBody, p: Point, mode: str = "closed", tol: Tolerance
         poly = polygonize(u)
         if poly is not None:
             return _polygon_contains(poly, p, mode, eps)
-        m = point_margin(u, p)
+        m = float(point_margins(u, [(p.x, p.y)])[0][0])
         return m >= -eps if mode == "closed" else m > eps
     raise TypeError(f"unknown body {type(u)}")
 
@@ -1062,24 +1086,9 @@ def nearest_point(u: ConvexBody, p: Point) -> Point:
             if dq < bd:
                 best, bd = q, dq
         return best
-    if isinstance(u, HullOfUnion):
-        # maximize <p,n> - h(n) over the direction grid, then refine
-        hp = GRID_DIRS @ np.array([float(p.x), float(p.y)])
-        m = hp - support_grid(u)
-        k = int(np.argmax(m))
-
-        def f(theta):
-            nx, ny = math.cos(theta), math.sin(theta)
-            return -(float(p.x) * nx + float(p.y) * ny - support_value(u, nx, ny))
-
-        lo = _GRID_ANGLES[k] - TWO_PI / GRID_N
-        hi = _GRID_ANGLES[k] + TWO_PI / GRID_N
-        t, neg = _golden_min(f, lo, hi)
-        dbest = -neg
-        if m[k] > dbest:
-            t, dbest = _GRID_ANGLES[k], float(m[k])
-        nx, ny = math.cos(t), math.sin(t)
-        return Point(float(p.x) - dbest * nx, float(p.y) - dbest * ny)
+    if isinstance(u, HullOfUnion):  # p + m n, for the margin m < 0 at n
+        m, n = point_margins(u, [(p.x, p.y)])
+        return Point(*(m[0] * n[0] + (float(p.x), float(p.y))).tolist())
     t = _pieces(u)
     px, py = float(p.x), float(p.y)
     cands = []
@@ -1292,34 +1301,20 @@ def chord_interval(
             return None
         return (lo, hi) if lo <= hi else (lo, lo)
     if isinstance(u, HullOfUnion):
-        # bracket via support, then sample and bisect membership
-        pa = np.array([ax, ay])
-        uu = np.array([ux, uy])
-        t_hi = support_value(u, ux, uy) - float(pa @ uu)
-        t_lo = -(support_value(u, -ux, -uy) + float(pa @ uu))
-        if t_hi < t_lo:
-            return None
-        ts = np.linspace(t_lo, t_hi, 129)
-        inside = [
-            contains_point(u, Point(ax + t * ux, ay + t * uy), "closed", tol) for t in ts
-        ]
-        idx = [i for i, v in enumerate(inside) if v]
-        if not idx:
-            return None
-        i0, i1 = idx[0], idx[-1]
-
-        def bisect(t_in, t_out):
-            for _ in range(50):
-                tm = 0.5 * (t_in + t_out)
-                if contains_point(u, Point(ax + tm * ux, ay + tm * uy), "closed", tol):
-                    t_in = tm
-                else:
-                    t_out = tm
-            return t_in
-
-        lo = ts[i0] if i0 == 0 else bisect(ts[i0], ts[i0 - 1])
-        hi = ts[i1] if i1 == len(ts) - 1 else bisect(ts[i1], ts[i1 + 1])
-        return (float(lo), float(hi))
+        # Each end is on a circle piece (with the Disk branch's tangency slack)
+        # or on a breakpoint's supporting line: the extreme such t in u.
+        C, R, B = _support_pieces(u)
+        a, d = np.array([ax, ay]), np.array([ux, uy])
+        B = B[np.abs(B @ d) > 1e-14]  # the supporting lines that l crosses
+        m = a - C
+        b, off = m @ d, m @ (d[1], -d[0])
+        disc = R * R - off * off
+        hit = disc > -max(tol.eps, 1e-12) * np.maximum(1.0, R)
+        s = np.sqrt(np.maximum(disc[hit], 0.0))
+        t = np.concatenate([(support_grid(u, B) - B @ a) / (B @ d), -b[hit] - s, -b[hit] + s])
+        scale = max(1.0, float(np.abs(C).max() + R.max()))
+        t = t[point_margins(u, a + t[:, None] * d)[0] >= -max(tol.eps, 1e-12) * scale]
+        return (float(t.min()), float(t.max())) if len(t) else None
     raise TypeError(f"unknown body {type(u)}")
 
 
@@ -1382,12 +1377,7 @@ def abundance(u: ConvexBody, v: ConvexBody, tol: Tolerance = DEFAULT_TOL) -> flo
     vp = polygonize(v)
     if vp is not None:
         return max(dist_to_body(u, w, tol) for w in vp.vertices)
-    # Between breakpoints h_v - h_u = (c_i - c_j)·n + r_i - r_j for one piece
-    # of each body, which peaks only at the ends or at n = (c_i - c_j)/|..|.
-    Cv, _, Bv = _support_pieces(v)
-    Cu, _, Bu = _support_pieces(u)
-    peaks = unit_directions((Cv[:, None, :] - Cu[None, :, :]).reshape(-1, 2))
-    dirs = np.concatenate([Bv, Bu, peaks, [(1.0, 0.0)]])
+    dirs = _critical_directions(v, u)
     return max(0.0, float((support_grid(v, dirs) - support_grid(u, dirs)).max()))
 
 

@@ -39,9 +39,7 @@ from .bodies import (
     support_value,
     tangents_from_external_point,
     transform_body,
-    GRID_N,
-    _GRID_ANGLES,
-    _golden_min,
+    _critical_directions,
     _is_singleton,
     _support_candidates,
 )
@@ -251,54 +249,29 @@ def _support_face(u: ConvexBody, nx: float, ny: float, slack: float) -> Tuple[fl
 def internally_tangent(
     u0: ConvexBody, u1: ConvexBody, tol: Tolerance = DEFAULT_TOL
 ) -> Optional[PointedSupportLine]:
-    """A common pointed supporting line of u0 and u1, if one exists."""
-    h0 = support_grid(u0)
-    h1 = support_grid(u1)
-    gap = np.abs(h0 - h1)
+    """A common pointed supporting line of u0 and u1, if one exists.
+
+    A common support point p with normal n lies on a piece c_i·n + r_i of
+    h_0 and a piece c_j·n + r_j of h_1, so c_i - c_j = (r_j - r_i) n: n is
+    ±(c_i - c_j)/|c_i - c_j|, or the pieces are one and p stays a common
+    support point up to a breakpoint of either envelope (at every n, for
+    equal disks).  So the pair's critical directions hold a contact normal;
+    they are scanned in angle order from 0 for one where h_0 and h_1 agree
+    and the support faces overlap."""
+    dirs = _critical_directions(u0, u1)
+    dirs = dirs[np.argsort(np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), TWO_PI), kind="stable")]
+    h0, h1 = support_grid(u0, dirs), support_grid(u1, dirs)
     scale = max(1.0, float(np.abs(h0).max()), float(np.abs(h1).max()))
     tol_eff = max(tol.eps, 1e-7) * scale
-    coarse = 2e-2 * scale
-    cand = np.nonzero(gap <= coarse)[0]
-    if len(cand) == 0:
-        return None
-    # group consecutive candidate directions into clusters
-    clusters: List[List[int]] = []
-    prev = None
-    for i in cand:
-        if prev is not None and (i - prev) % GRID_N == 1:
-            clusters[-1].append(int(i))
-        else:
-            clusters.append([int(i)])
-        prev = i
-    if len(clusters) > 1 and (clusters[0][0] - clusters[-1][-1]) % GRID_N == 1:
-        clusters[-1].extend(clusters[0])
-        clusters.pop(0)
-
-    def gap_at(theta: float) -> float:
-        nx, ny = math.cos(theta), math.sin(theta)
-        return abs(support_value(u0, nx, ny) - support_value(u1, nx, ny))
-
-    step = TWO_PI / GRID_N
-    for cl in clusters:
-        k = min(cl, key=lambda i: gap[i])
-        theta, g = _golden_min(gap_at, _GRID_ANGLES[k] - step, _GRID_ANGLES[k] + step, 60)
-        if g > tol_eff:
-            continue
-        nx, ny = math.cos(theta), math.sin(theta)
-        slack = tol_eff
-        lo0, hi0 = _support_face(u0, nx, ny, slack)
-        lo1, hi1 = _support_face(u1, nx, ny, slack)
+    for k in np.flatnonzero(np.abs(h0 - h1) <= tol_eff):
+        nx, ny = dirs[k].tolist()
+        (lo0, hi0), (lo1, hi1) = (_support_face(w, nx, ny, tol_eff) for w in (u0, u1))
         olo, ohi = max(lo0, lo1), min(hi0, hi1)
         if ohi < olo - tol_eff:
             continue
-        tmid = 0.5 * (olo + ohi)
-        # place the contact point on the supporting line at tangent offset tmid
-        h = 0.5 * (support_value(u0, nx, ny) + support_value(u1, nx, ny))
-        px = h * nx + tmid * (-ny)
-        py = h * ny + tmid * nx
-        p = Point(px, py)
-        d_line = Direction(-ny, nx)
-        return PointedSupportLine(p, DirectedLine(p, d_line))
+        tmid, h = 0.5 * (olo + ohi), 0.5 * float(h0[k] + h1[k])  # where on the line
+        p = Point(h * nx - tmid * ny, h * ny + tmid * nx)
+        return PointedSupportLine(p, DirectedLine(p, Direction(-ny, nx)))
     return None
 
 

@@ -37,6 +37,7 @@ from planeconvex.bodies import (
     loosely_includes,
     nearest_point,
     open_extension,
+    point_margins,
     polygonize,
     separating_support_line,
     support_grid,
@@ -842,6 +843,44 @@ class TestChordInterval:
         assert iv is not None
         assert abs(iv[0] - 1) < 1e-9 and abs(iv[1] - 3) < 1e-9
 
+    def test_thin_chord_of_curved_hull(self):
+        """A line 1e-4 below the top of the disk crosses the hull along the
+        disk's arc, 30 +- sqrt(1 - 0.9999^2) from the anchor."""
+        u = hull_of_union(Disk(Point(0, 0), 1), [Point(20, 0), Point(0, -20)])
+        y = F(9999, 10000)
+        line = DirectedLine(Point(-30, y), Direction(1, 0))
+        assert contains_point(u, Point(0, y))
+        half = math.sqrt(1 - float(y) ** 2)
+        iv = chord_interval(u, line)
+        assert iv is not None
+        assert abs(iv[0] - (30 - half)) <= 1e-9 and abs(iv[1] - (30 + half)) <= 1e-9
+        assert len(line_boundary_intersections(u, line).points) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(["disk", "disk_intersection"]))
+    def test_curved_hull_chord_ends_on_the_boundary(self, seed, kind):
+        """A line at offset h(n) - delta meets the hull in a chord whose ends
+        have point margin 0; a line at h(n) + 1e-6 misses it."""
+        rng = SplitMix64(seed)
+        u = curved_hull(rng, kind)
+        scale = margin_scale(u)
+        a = rng.random() * 2 * math.pi
+        nx, ny = math.cos(a), math.sin(a)
+        h = support_value(u, nx, ny)
+        width = h + support_value(u, -nx, -ny)
+        for delta in (1e-4, 1e-2, 1.0):
+            if delta >= width:
+                continue
+            q = h - delta
+            line = DirectedLine(Point(q * nx + 50 * ny, q * ny - 50 * nx), Direction(-ny, nx))
+            iv = chord_interval(u, line)
+            assert iv is not None
+            ends = [line.point_at(t) for t in iv]
+            m, _ = point_margins(u, [(p.x, p.y) for p in ends])
+            assert np.abs(m).max() <= 1e-9 * scale
+        q = h + 1e-6
+        assert chord_interval(u, DirectedLine(Point(q * nx, q * ny), Direction(-ny, nx))) is None
+
 
 class TestMiscQueries:
     def test_nearest_point_disk(self):
@@ -870,36 +909,86 @@ class TestMiscQueries:
         assert Point(3, 1) in poly.vertices
 
 
-def hull_segment_normals(c: Point, r, pts) -> np.ndarray:
-    """The normals of every segment conv(disk(c, r) ∪ pts) may have: the
-    tangents from each outside point to the disk, and each pair of points."""
+def curved_hull(rng: SplitMix64, kind: str) -> HullOfUnion:
+    """conv(base ∪ {a, b}) for a rational disk or disk-intersection base."""
+    if kind == "disk":
+        base = Disk(rational_point(rng, -2, 2, 4), F(rng.randint(2, 8), 4))
+    else:
+        base = random_disk_intersection(rng)
+    return HullOfUnion(base, (rational_point(rng, -6, 6, 4), rational_point(rng, -6, 6, 4)))
+
+
+def margin_scale(u) -> float:
+    """The scale of u's support pieces, max(1, max |c| + max r)."""
+    C, R, _ = bodies._support_pieces(u)
+    return max(1.0, float(np.abs(C).max() + R.max()))
+
+
+def hull_segment_normals(u: HullOfUnion) -> np.ndarray:
+    """The normals of every segment u may have: the tangents from each extra
+    point to each disk of the base, and the normals of each pair of points
+    (the extra points and a disk intersection's corners)."""
+    disks = u.base.disks if isinstance(u.base, DiskIntersection) else (u.base,)
+    pts = list(u.extra) + (u.base.boundary().corners if isinstance(u.base, DiskIntersection) else [])
     angles = []
-    for a in pts:
-        vx, vy = float(a.x - c.x), float(a.y - c.y)
-        length = math.hypot(vx, vy)
-        if length > r:
-            phi = math.acos(float(r) / length)
-            angles += [math.atan2(vy, vx) + phi, math.atan2(vy, vx) - phi]
-    for a, b in zip(pts, pts[1:]):
-        t = math.atan2(float(b.y - a.y), float(b.x - a.x))
-        angles += [t + math.pi / 2, t - math.pi / 2]
+    for a in u.extra:
+        for d in disks:
+            vx, vy = float(a.x - d.center.x), float(a.y - d.center.y)
+            length = math.hypot(vx, vy)
+            if length > d.radius:
+                phi = math.acos(float(d.radius) / length)
+                angles += [math.atan2(vy, vx) + phi, math.atan2(vy, vx) - phi]
+    for i, a in enumerate(pts):
+        for b in pts[i + 1 :]:
+            t = math.atan2(float(b.y) - float(a.y), float(b.x) - float(a.x))
+            angles += [t + math.pi / 2, t - math.pi / 2]
     return np.stack([np.cos(angles), np.sin(angles)], axis=1).reshape(-1, 2)
+
+
+class TestPointMarginOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(["disk", "disk_intersection"]))
+    def test_matches_dense_directions(self, seed, kind):
+        rng = SplitMix64(seed)
+        u = curved_hull(rng, kind)
+        self.check(u, [(float(p.x), float(p.y)) for p in (rational_point(rng, -9, 9, 4) for _ in range(8))])
+
+    def test_point_the_grid_misses(self):
+        """The grid search read 1.52116 here, 2.5e-3 above the margin."""
+        base = DiskIntersection((Disk(Point(F(-3, 4), F(1, 4)), 1), Disk(Point(F(-1, 4), F(1, 4)), 1)))
+        u = HullOfUnion(base, (Point(F(7, 2), F(-7, 4)), Point(F(-3, 4), F(-21, 4))))
+        assert self.check(u, [(0.5, -2.25)])[0] == pytest.approx(1.51865, abs=1e-5)
+
+    @staticmethod
+    def check(u: HullOfUnion, xy) -> np.ndarray:
+        """Any direction bounds the margin from above, so it is at most the
+        dense minimum; over a disk base's dense grid plus segment normals,
+        where the margin's function has its kinks, it is within 1e-6 of it.
+        The margin is attained at the returned direction."""
+        X, scale = np.array(xy), margin_scale(u)
+        m, n = point_margins(u, X)
+        dirs = np.concatenate([dense_directions()[0], hull_segment_normals(u)])
+        ref = (support_grid(u, dirs)[None, :] - X @ dirs.T).min(axis=1)
+        assert np.all(m <= ref + 1e-12 * scale)
+        if isinstance(u.base, Disk):
+            assert np.all(m >= ref - 1e-6 * scale)
+        for x, mi, (nx, ny) in zip(X.tolist(), m.tolist(), n.tolist()):
+            assert abs(support_value(u, nx, ny) - x[0] * nx - x[1] * ny - mi) <= 1e-12 * scale
+        return m
 
 
 class TestNearestPointOracle:
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32))
-    def test_hull_of_disk_and_two_points(self, seed):
+    @given(st.integers(0, 2**32), st.sampled_from(["disk", "disk_intersection"]))
+    def test_hull_of_curved_base_and_two_points(self, seed, kind):
         """From an external p, the distance to a hull is the max over
         directions n of <p, n> - h(n).  Over a dense grid plus the segment
         normals, where that difference has its kinks, the max is within 3e-7
         of it; the nearest point is that far from p and in the hull."""
         rng = SplitMix64(seed)
-        c, r = rational_point(rng, -2, 2, 4), F(rng.randint(2, 8), 4)
-        a, b = rational_point(rng, -6, 6, 4), rational_point(rng, -6, 6, 4)
-        u = hull_of_union(Disk(c, r), [a, b])
+        u = curved_hull(rng, kind)
         p = rational_point(rng, -9, 9, 4)
-        dirs = np.concatenate([dense_directions()[0], hull_segment_normals(c, r, [a, b])])
+        dirs = np.concatenate([dense_directions()[0], hull_segment_normals(u)])
         hu = support_grid(u, dirs)
         d = float((dirs @ [float(p.x), float(p.y)] - hu).max())
         assume(d > 1e-3)

@@ -16,9 +16,13 @@ from planeconvex.bodies import (
     Triangle,
     abundance,
     contains_point,
+    convex_hull,
+    farthest_dist,
     hull_of_union,
     includes,
     is_edge_free,
+    support_point,
+    support_value,
     transform_body,
 )
 from planeconvex.errors import (
@@ -54,6 +58,7 @@ from planeconvex.theorem import (
     witness_search,
 )
 from planeconvex.transforms import IDENTITY, Translation, homothety, translation
+from tests.conftest import random_disk_intersection, rational_point
 
 F = Fraction
 
@@ -205,6 +210,48 @@ class TestInternallyTangent:
         assert psl is not None
         # contact along the shared edge on y = 2
         assert abs(float(psl.support.y) - 2) < 1e-6
+
+    @staticmethod
+    def body(rng: SplitMix64, kind: str):
+        if kind == "disk":
+            return Disk(rational_point(rng, -4, 4, 4), F(rng.randint(2, 12), 4))
+        if kind == "disk_intersection":
+            return random_disk_intersection(rng)
+        return convex_hull([rational_point(rng, -4, 4, 4) for _ in range(5)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(["disk", "disk_intersection", "polygon"]),
+        st.sampled_from([F(1, 2), F(3, 2), F(2)]),
+    )
+    def test_homothety_about_a_support_point(self, seed, kind, ratio):
+        """u and its image under a homothety about u's support point in some
+        direction touch there; the contact lies on both supporting lines."""
+        rng = SplitMix64(seed)
+        u = self.body(rng, kind)
+        a = rng.random() * 2 * math.pi
+        v = transform_body(homothety(support_point(u, math.cos(a), math.sin(a)), ratio), u)
+        psl = internally_tangent(u, v)
+        assert psl is not None
+        nx, ny = psl.line.d.right_normal().unit()
+        p = psl.support
+        scale = max(1.0, farthest_dist(u, Point(0, 0)), farthest_dist(v, Point(0, 0)))
+        for w in (u, v):
+            assert abs(float(p.x) * nx + float(p.y) * ny - support_value(w, nx, ny)) <= 1e-7 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(["disk", "disk_intersection"]))
+    def test_translate_of_edge_free_body_is_not_tangent(self, seed, kind):
+        """A strictly convex body and a nonzero translate share no support
+        point.  (Polygons are left out: a translate along an edge shares
+        that edge's line, a real tangency.)"""
+        rng = SplitMix64(seed)
+        u = self.body(rng, kind)
+        t = rational_point(rng, -2, 2, 4)
+        if t == Point(0, 0):
+            t = Point(F(1, 4), 0)
+        assert internally_tangent(u, transform_body(translation(t.x, t.y), u)) is None
 
 
 class TestTangencyClassify:
