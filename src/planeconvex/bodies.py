@@ -23,7 +23,7 @@ and boundary query of a primitive body is one loop over that table:
 ``support_value``, ``support_grid``, ``_support_pieces``, ``support_point``,
 ``farthest_dist``, ``_tangent_candidates`` and, but for a polygon's segment
 projection, ``nearest_point``.  A HullOfUnion has no table: each query
-combines its base body's answer with the extra points.
+combines its base body's answer with the extra points (``float_extra()``).
 
 Exact predicates stay exact, and are decided in float wherever a static
 error bound allows.  Point-in-polygon tests read each polygon's float
@@ -178,10 +178,23 @@ class DiskIntersection(ConvexBody):
 
 @dataclass(frozen=True)
 class HullOfUnion(ConvexBody):
-    """Lazy conv(base U extra); membership equals hull membership."""
+    """Lazy conv(base U extra); membership equals hull membership.
+
+    ``float_extra()``, the extra points' (x, y) floats as a list and as an
+    (m, 2) array, is built once and cached on the hull, not as a field, so
+    ``==``, ``hash``, ``repr`` and the JSON form see the exact points only.
+    """
 
     base: ConvexBody
     extra: Tuple[Point, ...]
+
+    def float_extra(self) -> Tuple[List[Tuple[float, float]], np.ndarray]:
+        cached = getattr(self, "_float_cache", None)
+        if cached is None:
+            xy = [(float(p.x), float(p.y)) for p in self.extra]
+            cached = (xy, np.array(xy).reshape(-1, 2))
+            object.__setattr__(self, "_float_cache", cached)
+        return cached
 
 
 @dataclass(frozen=True)
@@ -701,8 +714,10 @@ def support_value(u: ConvexBody, nx: float, ny: float) -> float:
     """max over u of <x, n> for a unit direction n (float track)."""
     if isinstance(u, HullOfUnion):
         best = support_value(u.base, nx, ny)
-        for p in u.extra:
-            best = max(best, float(p.x) * nx + float(p.y) * ny)
+        for x, y in u.float_extra()[0]:  # converted once per hull: a hot path too
+            v = x * nx + y * ny
+            if v > best:
+                best = v
         return best
     t = u._pieces_cache or _pieces(u)  # the hot path of the grid refinement
     best = -math.inf
@@ -722,8 +737,7 @@ def support_grid(u: ConvexBody, dirs: np.ndarray) -> np.ndarray:
     if isinstance(u, HullOfUnion):
         out = support_grid(u.base, dirs)
         if u.extra:
-            P = np.array([(float(p.x), float(p.y)) for p in u.extra])
-            out = np.maximum(out, (P @ dirs.T).max(axis=0))
+            out = np.maximum(out, (u.float_extra()[1] @ dirs.T).max(axis=0))
         return out
     t = _pieces(u)
     out = (t.array @ dirs.T).max(axis=0) if t.xy else np.full(len(dirs), -np.inf)
@@ -772,7 +786,7 @@ def _support_pieces(u: ConvexBody) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if isinstance(u, HullOfUnion):
         C, R, B = _support_pieces(u.base)
-        P = np.array([(float(p.x), float(p.y)) for p in u.extra]).reshape(-1, 2)
+        P = u.float_extra()[1]
         C = np.concatenate([C, P])
         R = np.concatenate([R, np.zeros(len(P))])
         i, j = np.divmod(np.arange(len(P) * len(C)), len(C))

@@ -1041,6 +1041,93 @@ class TestPieceTableOracle:
                 assert abs(support_value(u, nx, ny) - (float(t.x) * nx + float(t.y) * ny)) <= 1e-9 * scale
 
 
+def _ref_value(u: HullOfUnion, nx: float, ny: float) -> float:
+    """A hull's support value, converting its extra points on every call."""
+    best = support_value(u.base, nx, ny)
+    for p in u.extra:
+        best = max(best, float(p.x) * nx + float(p.y) * ny)
+    return best
+
+
+def _ref_grid(u: HullOfUnion, dirs: np.ndarray) -> np.ndarray:
+    out = support_grid(u.base, dirs)
+    if u.extra:
+        P = np.array([(float(p.x), float(p.y)) for p in u.extra])
+        out = np.maximum(out, (P @ dirs.T).max(axis=0))
+    return out
+
+
+def _ref_pieces(u: HullOfUnion):
+    C, R, B = bodies._support_pieces(u.base)
+    P = np.array([(float(p.x), float(p.y)) for p in u.extra]).reshape(-1, 2)
+    C = np.concatenate([C, P])
+    R = np.concatenate([R, np.zeros(len(P))])
+    i, j = np.divmod(np.arange(len(P) * len(C)), len(C))
+    return C, R, np.concatenate([B, bodies.tie_directions(P[i], np.zeros(len(i)), C[j], R[j])])
+
+
+def _ref_margin(a, b, value_a, value_b, grid_a, grid_b) -> float:
+    """``support_margin`` with the given support functions."""
+    m = grid_a(a, bodies.GRID_DIRS) - grid_b(b, bodies.GRID_DIRS)
+    k = int(np.argmin(m))
+    step = 2 * math.pi / bodies.GRID_N
+
+    def f(theta):
+        nx, ny = math.cos(theta), math.sin(theta)
+        return value_a(a, nx, ny) - value_b(b, nx, ny)
+
+    lo, hi = bodies._GRID_ANGLES[k] - step, bodies._GRID_ANGLES[k] + step
+    return min(float(m[k]), bodies._golden_min(f, lo, hi))
+
+
+_coords = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(-6, 6, max_denominator=12),
+    st.floats(-6, 6, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestHullFloatView:
+    """A hull's support queries read its extra points' floats from a view
+    built once; each must equal, bit for bit, the same formula converting
+    the points on every call, and the view must leave the hull's value
+    semantics alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(["polygon", "disk", "disk_intersection"]),
+        st.lists(st.builds(Point, _coords, _coords), max_size=3),
+    )
+    @example(0, "disk", [Point(F(1, 3), F(-5, 7)), Point(4, 0.1), Point(F(-17, 6), 5)])
+    @example(1, "disk_intersection", [])
+    def test_matches_per_call_conversion(self, seed, kind, extra):
+        rng = SplitMix64(seed)
+        if kind == "polygon":
+            base = convex_hull([rational_point(rng, -4, 4, 3) for _ in range(6)])
+            assume(len(base.vertices) >= 3)
+        elif kind == "disk":
+            base = Disk(rational_point(rng, -2, 2, 4), F(rng.randint(1, 12), 4))
+        else:
+            base = random_disk_intersection(rng)
+        u = HullOfUnion(base, tuple(extra))
+        fresh = HullOfUnion(base, tuple(extra))
+        angles = np.array([rng.uniform(0, 2 * math.pi) for _ in range(32)])
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        for nx, ny in dirs.tolist():
+            assert support_value(u, nx, ny) == _ref_value(u, nx, ny)
+        for d in (dirs, bodies.GRID_DIRS):
+            assert np.array_equal(support_grid(u, d), _ref_grid(u, d))
+        for got, ref in zip(bodies._support_pieces(u), _ref_pieces(u)):
+            assert np.array_equal(got, ref)
+        other = Disk(rational_point(rng, -2, 2, 4), F(rng.randint(1, 8), 4))
+        assert support_margin(u, other) == _ref_margin(u, other, _ref_value, support_value, _ref_grid, support_grid)
+        assert support_margin(other, u) == _ref_margin(other, u, support_value, _ref_value, support_grid, _ref_grid)
+        assert u == fresh and hash(u) == hash(fresh)
+        assert repr(u) == repr(fresh)
+        assert serial.body_to_json(u) == serial.body_to_json(fresh)
+
+
 class TestBoundarySamples:
     @settings(max_examples=25)
     @given(st.integers(0, 2**32))
