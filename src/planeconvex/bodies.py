@@ -15,15 +15,15 @@ polygon of at least 3 vertices holds a curved body iff no edge normal n_e has
 the body's support value above the edge's offset (``_edge_margin``).  Only
 ``support_margin`` still searches a direction grid with local refinement.
 
-Each primitive body (Polygon, Disk, DiskIntersection) builds its pieces once,
-as a table (``_pieces``): its points (a polygon's vertices, a disk
-intersection's corners) and its disks, each with the arcs of normal angles at
-which it bounds the body (a Disk's one disk at every angle).  Every support
-and boundary query of a primitive body is one loop over that table:
-``support_value``, ``support_grid``, ``_support_pieces``, ``support_point``,
-``farthest_dist``, ``_tangent_candidates`` and, but for a polygon's segment
-projection, ``nearest_point``.  A HullOfUnion has no table: each query
-combines its base body's answer with the extra points (``float_extra()``).
+Each body builds its pieces once, as a table (``_pieces``): its points (a
+polygon's vertices, a disk intersection's corners) and its disks, each with
+the arcs of normal angles at which it bounds the body (a Disk's one disk at
+every angle).  A HullOfUnion's table is its base's with the extra points
+added, as h = max(h_base, <p, n> for each extra p).  Every support and
+boundary query is one loop over that table: ``support_value``,
+``support_grid``, ``_support_pieces``, ``support_point``, ``farthest_dist``,
+``_tangent_candidates`` and, but for a polygon's segment projection and a
+hull's closed-form margin, ``nearest_point``.
 
 Exact predicates stay exact, and are decided in float wherever a static
 error bound allows.  Point-in-polygon tests read each polygon's float
@@ -180,21 +180,13 @@ class DiskIntersection(ConvexBody):
 class HullOfUnion(ConvexBody):
     """Lazy conv(base U extra); membership equals hull membership.
 
-    ``float_extra()``, the extra points' (x, y) floats as a list and as an
-    (m, 2) array, is built once and cached on the hull, not as a field, so
-    ``==``, ``hash``, ``repr`` and the JSON form see the exact points only.
+    Its piece table, with the extra points' floats, is cached on the hull,
+    not as a field, so ``==``, ``hash``, ``repr`` and the JSON form see the
+    exact points only.
     """
 
     base: ConvexBody
     extra: Tuple[Point, ...]
-
-    def float_extra(self) -> Tuple[List[Tuple[float, float]], np.ndarray]:
-        cached = getattr(self, "_float_cache", None)
-        if cached is None:
-            xy = [(float(p.x), float(p.y)) for p in self.extra]
-            cached = (xy, np.array(xy).reshape(-1, 2))
-            object.__setattr__(self, "_float_cache", cached)
-        return cached
 
 
 @dataclass(frozen=True)
@@ -642,7 +634,7 @@ _ARC_SLACK = 1e-9
 
 
 class _Pieces(NamedTuple):
-    """A primitive body's support function h(n) = max c·n + r as pieces.
+    """A body's support function h(n) = max c·n + r as pieces.
 
     ``points`` are the pieces with r = 0, as given (``xy`` their floats,
     ``array`` the same as an (n, 2) array).  ``disks`` are the curved pieces
@@ -659,7 +651,8 @@ class _Pieces(NamedTuple):
 def _pieces(u: ConvexBody) -> _Pieces:
     """u's piece table, built once: a polygon's vertices; a disk whole; a
     disk intersection's arc disks with their arcs and its corners (its
-    feasible point when no circle bounds it)."""
+    feasible point when no circle bounds it); a hull's base table with its
+    extra points after the base's points."""
     cached = u._pieces_cache
     if cached is not None:
         return cached
@@ -672,6 +665,11 @@ def _pieces(u: ConvexBody) -> _Pieces:
         pts = b.corners if b.arcs else [u._feasible]
         xy = [(float(p.x), float(p.y)) for p in pts]
         disks = [(fd.x[i], fd.y[i], fd.r[i], ivs) for i, ivs in b.arcs]
+    elif isinstance(u, HullOfUnion):
+        t = _pieces(u.base)
+        pts = list(t.points) + list(u.extra)
+        xy = t.xy + [(float(p.x), float(p.y)) for p in u.extra]
+        disks = t.disks
     else:
         raise TypeError(f"unknown body {type(u)}")
     cached = _Pieces(pts, xy, np.array(xy).reshape(-1, 2), disks)
@@ -712,13 +710,6 @@ def _arc_mask(angles: np.ndarray, arcs: List[Tuple[float, float]]) -> np.ndarray
 
 def support_value(u: ConvexBody, nx: float, ny: float) -> float:
     """max over u of <x, n> for a unit direction n (float track)."""
-    if isinstance(u, HullOfUnion):
-        best = support_value(u.base, nx, ny)
-        for x, y in u.float_extra()[0]:  # converted once per hull: a hot path too
-            v = x * nx + y * ny
-            if v > best:
-                best = v
-        return best
     t = u._pieces_cache or _pieces(u)  # the hot path of the grid refinement
     best = -math.inf
     for x, y, r, arcs in t.disks:
@@ -733,17 +724,17 @@ def support_value(u: ConvexBody, nx: float, ny: float) -> float:
 
 
 def support_grid(u: ConvexBody, dirs: np.ndarray) -> np.ndarray:
-    """Vectorized support values over the rows of ``dirs``."""
-    if isinstance(u, HullOfUnion):
-        out = support_grid(u.base, dirs)
-        if u.extra:
-            out = np.maximum(out, (u.float_extra()[1] @ dirs.T).max(axis=0))
-        return out
+    """``support_value`` over the rows of ``dirs``, bit for bit: each piece
+    is valued elementwise as x * nx + y * ny (+ r), as there, because a
+    matrix product may sum in an order that depends on the row's place in
+    the matrix, and so differ from the scalar value in the last bit."""
     t = _pieces(u)
-    out = (t.array @ dirs.T).max(axis=0) if t.xy else np.full(len(dirs), -np.inf)
+    nx, ny = dirs[:, 0], dirs[:, 1]
+    P = t.array
+    out = (P[:, :1] * nx + P[:, 1:] * ny).max(axis=0, initial=-np.inf)
     angles = None
     for x, y, r, arcs in t.disks:
-        vals = np.maximum(out, dirs @ np.array([x, y]) + r)
+        vals = np.maximum(out, x * nx + y * ny + r)
         if arcs is not None:
             angles = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), TWO_PI) if angles is None else angles
             vals = np.where(_arc_mask(angles, arcs), vals, out)
@@ -784,18 +775,15 @@ def _support_pieces(u: ConvexBody) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     piece changes only at one of the returned breakpoint directions (a
     superset: arc endpoints, edge normals, ties of extra points).
     """
-    if isinstance(u, HullOfUnion):
-        C, R, B = _support_pieces(u.base)
-        P = u.float_extra()[1]
-        C = np.concatenate([C, P])
-        R = np.concatenate([R, np.zeros(len(P))])
-        i, j = np.divmod(np.arange(len(P) * len(C)), len(C))
-        ties = tie_directions(P[i], np.zeros(len(i)), C[j], R[j])
-        return C, R, np.concatenate([B, ties])
     t = _pieces(u)
     P, zero = t.array, np.zeros(len(t.xy))
     C = np.concatenate([np.array([d[:2] for d in t.disks]).reshape(-1, 2), P])
     R = np.concatenate([[d[2] for d in t.disks], zero])
+    if isinstance(u, HullOfUnion):  # the base's breakpoints and the ties of the extra points
+        E = P[len(P) - len(u.extra) :]
+        i, j = np.divmod(np.arange(len(E) * len(C)), len(C))
+        ties = tie_directions(E[i], np.zeros(len(i)), C[j], R[j])
+        return C, R, np.concatenate([_support_pieces(u.base)[2], ties])
     if not t.disks:  # a polygon: its edge normals
         return C, R, tie_directions(P, zero, np.roll(P, -1, axis=0), zero)
     ends = np.array([a for *_, arcs in t.disks if arcs is not None for iv in arcs for a in iv])
@@ -1050,10 +1038,7 @@ def support_point(u: ConvexBody, nx: float, ny: float) -> Point:
 
 def _support_candidates(u: ConvexBody, nx: float, ny: float) -> List[Point]:
     """Points of u among which its maximizers of <x, n> lie: the extreme
-    point of each disk piece that counts at n, then the point pieces; for a
-    HullOfUnion, the base's support point and the extra points."""
-    if isinstance(u, HullOfUnion):
-        return [support_point(u.base, nx, ny)] + list(u.extra)
+    point of each disk piece that counts at n, then the point pieces."""
     t = _pieces(u)
     n = math.hypot(nx, ny)
     out = [Point(x + r * nx / n, y + r * ny / n) for x, y, r, arcs in t.disks if _on_arcs(arcs, ny, nx)]
@@ -1124,11 +1109,6 @@ def dist_to_body(u: ConvexBody, p: Point, tol: Tolerance = DEFAULT_TOL) -> float
 
 def farthest_dist(u: ConvexBody, c: Point) -> float:
     """Covering radius of u from c: max over u of the distance to c."""
-    if isinstance(u, HullOfUnion):
-        best = farthest_dist(u.base, c)
-        for p in u.extra:
-            best = max(best, dist(c, p))
-        return best
     t = _pieces(u)
     cx, cy = float(c.x), float(c.y)
     # A circle's farthest point from c lies on the ray from c through its centre.
@@ -1226,8 +1206,6 @@ def _is_singleton(u: ConvexBody) -> bool:
 def _tangent_candidates(u: ConvexBody, f: Point) -> List[Point]:
     """The points of u that a tangent from f can touch: the point pieces,
     and each disk piece's two tangent points from f that lie on its arcs."""
-    if isinstance(u, HullOfUnion):
-        return _tangent_candidates(u.base, f) + list(u.extra)
     t = _pieces(u)
     fx, fy = float(f.x), float(f.y)
     out = list(t.points)

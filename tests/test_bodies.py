@@ -1,7 +1,10 @@
 """Convex bodies: hulls, membership, inclusion, support machinery, chords."""
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -927,9 +930,10 @@ def margin_scale(u) -> float:
 def hull_segment_normals(u: HullOfUnion) -> np.ndarray:
     """The normals of every segment u may have: the tangents from each extra
     point to each disk of the base, and the normals of each pair of points
-    (the extra points and a disk intersection's corners)."""
+    (the extra points and the base's point pieces: a disk intersection's
+    corners, or its feasible point when no circle bounds it)."""
     disks = u.base.disks if isinstance(u.base, DiskIntersection) else (u.base,)
-    pts = list(u.extra) + (u.base.boundary().corners if isinstance(u.base, DiskIntersection) else [])
+    pts = list(u.extra) + list(bodies._pieces(u.base).points)
     angles = []
     for a in u.extra:
         for d in disks:
@@ -980,6 +984,7 @@ class TestPointMarginOracle:
 class TestNearestPointOracle:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32), st.sampled_from(["disk", "disk_intersection"]))
+    @example(22587, "disk_intersection")  # a one-point base: no corners, one point piece
     def test_hull_of_curved_base_and_two_points(self, seed, kind):
         """From an external p, the distance to a hull is the max over
         directions n of <p, n> - h(n).  Over a dense grid plus the segment
@@ -1014,15 +1019,19 @@ class TestPieceTableOracle:
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 2**32))
     def test_queries_agree(self, seed):
+        """The grid and the value agree bit for bit, also at the critical
+        directions, where pieces tie."""
         angles = np.arange(64) * (2 * math.pi / 64) + 0.01 * (seed % 7)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        for u in piece_table_bodies(seed):
+        table = piece_table_bodies(seed)
+        crit = [bodies._critical_directions(u, v) for u, v in itertools.combinations(table, 2)]
+        all_dirs = np.concatenate([dirs] + crit)
+        for u in table:
             c = interior_point(u)
             R = farthest_dist(u, c)
             scale = max(1.0, R + abs(float(c.x)) + abs(float(c.y)))
-            grid = support_grid(u, dirs)
-            for (nx, ny), h in zip(dirs.tolist(), grid.tolist()):
-                assert abs(h - support_value(u, nx, ny)) <= 1e-12 * scale
+            for (nx, ny), h in zip(all_dirs.tolist(), support_grid(u, all_dirs).tolist()):
+                assert h == support_value(u, nx, ny)
             for nx, ny in dirs[::8].tolist():
                 p = support_point(u, nx, ny)
                 assert abs(float(p.x) * nx + float(p.y) * ny - support_value(u, nx, ny)) <= 1e-9 * scale
@@ -1050,11 +1059,7 @@ def _ref_value(u: HullOfUnion, nx: float, ny: float) -> float:
 
 
 def _ref_grid(u: HullOfUnion, dirs: np.ndarray) -> np.ndarray:
-    out = support_grid(u.base, dirs)
-    if u.extra:
-        P = np.array([(float(p.x), float(p.y)) for p in u.extra])
-        out = np.maximum(out, (P @ dirs.T).max(axis=0))
-    return out
+    return np.array([_ref_value(u, nx, ny) for nx, ny in dirs.tolist()])
 
 
 def _ref_pieces(u: HullOfUnion):
@@ -1080,6 +1085,27 @@ def _ref_margin(a, b, value_a, value_b, grid_a, grid_b) -> float:
     return min(float(m[k]), bodies._golden_min(f, lo, hi))
 
 
+def _ref_farthest(u: HullOfUnion, c: Point) -> float:
+    return max([farthest_dist(u.base, c)] + [dist(c, p) for p in u.extra])
+
+
+def _ref_support_point(u, nx: float, ny: float) -> Point:
+    """The canonical maximizer from the base's and the extra points."""
+    if not isinstance(u, HullOfUnion):
+        return support_point(u, nx, ny)
+    return bodies._lex_min_maximizer([_ref_support_point(u.base, nx, ny)] + list(u.extra), nx, ny)
+
+
+_tangent_candidates = bodies._tangent_candidates
+
+
+def _ref_tangent_candidates(u, f: Point):
+    """The base's tangent candidates from f and the extra points."""
+    if not isinstance(u, HullOfUnion):
+        return _tangent_candidates(u, f)
+    return _ref_tangent_candidates(u.base, f) + list(u.extra)
+
+
 _coords = st.one_of(
     st.integers(-6, 6),
     st.fractions(-6, 6, max_denominator=12),
@@ -1087,35 +1113,40 @@ _coords = st.one_of(
 )
 
 
-class TestHullFloatView:
-    """A hull's support queries read its extra points' floats from a view
-    built once; each must equal, bit for bit, the same formula converting
-    the points on every call, and the view must leave the hull's value
-    semantics alone."""
+class TestHullPieceTable:
+    """A hull's piece table is its base's with the extra points added: each
+    of its support queries must equal, bit for bit, the formula that
+    recurses into the base and converts the extra points on every call, and
+    caching the table must leave the hull's value semantics alone."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 2**32),
-        st.sampled_from(["polygon", "disk", "disk_intersection"]),
+        st.sampled_from(["polygon", "disk", "disk_intersection", "hull"]),
         st.lists(st.builds(Point, _coords, _coords), max_size=3),
     )
     @example(0, "disk", [Point(F(1, 3), F(-5, 7)), Point(4, 0.1), Point(F(-17, 6), 5)])
     @example(1, "disk_intersection", [])
-    def test_matches_per_call_conversion(self, seed, kind, extra):
+    @example(2, "polygon", [Point(5, 5)])
+    @example(3, "hull", [Point(-5, 1), Point(F(1, 3), -5)])
+    def test_matches_recursive_formulas(self, seed, kind, extra):
         rng = SplitMix64(seed)
         if kind == "polygon":
             base = convex_hull([rational_point(rng, -4, 4, 3) for _ in range(6)])
             assume(len(base.vertices) >= 3)
         elif kind == "disk":
             base = Disk(rational_point(rng, -2, 2, 4), F(rng.randint(1, 12), 4))
-        else:
+        elif kind == "disk_intersection":
             base = random_disk_intersection(rng)
+        else:  # a hull as base
+            base = HullOfUnion(random_disk_intersection(rng), (rational_point(rng, -6, 6, 4),))
         u = HullOfUnion(base, tuple(extra))
         fresh = HullOfUnion(base, tuple(extra))
         angles = np.array([rng.uniform(0, 2 * math.pi) for _ in range(32)])
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         for nx, ny in dirs.tolist():
             assert support_value(u, nx, ny) == _ref_value(u, nx, ny)
+            assert support_point(u, nx, ny) == _ref_support_point(u, nx, ny)
         for d in (dirs, bodies.GRID_DIRS):
             assert np.array_equal(support_grid(u, d), _ref_grid(u, d))
         for got, ref in zip(bodies._support_pieces(u), _ref_pieces(u)):
@@ -1123,6 +1154,15 @@ class TestHullFloatView:
         other = Disk(rational_point(rng, -2, 2, 4), F(rng.randint(1, 8), 4))
         assert support_margin(u, other) == _ref_margin(u, other, _ref_value, support_value, _ref_grid, support_grid)
         assert support_margin(other, u) == _ref_margin(other, u, support_value, _ref_value, support_grid, _ref_grid)
+        c = interior_point(u)
+        for q in (c, rational_point(rng, -9, 9, 4)):
+            assert farthest_dist(u, q) == _ref_farthest(u, q)
+        if not bodies._is_singleton(u):
+            f = Point(float(c.x) + 2 * farthest_dist(u, c) + 1, float(c.y))
+            assert Counter(bodies._tangent_candidates(u, f)) == Counter(_ref_tangent_candidates(u, f))
+            with mock.patch.object(bodies, "_tangent_candidates", _ref_tangent_candidates):
+                ref = tangents_from_external_point(u, f)
+            assert tangents_from_external_point(u, f) == ref
         assert u == fresh and hash(u) == hash(fresh)
         assert repr(u) == repr(fresh)
         assert serial.body_to_json(u) == serial.body_to_json(fresh)
